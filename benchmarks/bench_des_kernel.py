@@ -208,12 +208,12 @@ def bench_mega_storm(nnodes: int = 8334, ntargets: int = 192,
     from repro.des.kernels import kernel_status
 
     if kernel_status() == "unavailable":
-        # No C compiler and no numba: cover what can be covered (the
+        # No C compiler: cover what can be covered (the
         # scheduler bit-identity) and skip the kernel comparison rather
         # than failing environments the fallback path exists for.
         assert not require_speedup, (
-            "mega_storm needs the compiled kernel (C compiler or "
-            "pip install repro[compiled]) for the full/--check run")
+            "mega_storm needs the compiled kernel (a C compiler) for "
+            "the full/--check run")
         py, wall_py, _, _ = _run_mega_storm(
             "python", "calendar", nnodes, ntargets, writers)
         heap, wall_heap, _, _ = _run_mega_storm(

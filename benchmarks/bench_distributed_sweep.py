@@ -53,9 +53,8 @@ MIN_SPEEDUP = 2.0
 #: Modes the bench controls itself; anything inherited would leak into
 #: the workers through their environment instead of the welcome frame.
 _MODE_KEYS = ("REPRO_FAST", "REPRO_SOLVER", "REPRO_KERNEL",
-              "REPRO_SCHEDULER", "REPRO_SHARDS", "REPRO_SHARD_WORKERS",
-              "REPRO_TRACE", "REPRO_CACHE", "REPRO_PARALLEL",
-              "REPRO_BACKEND", "REPRO_WORKERS")
+              "REPRO_SCHEDULER", "REPRO_TRACE", "REPRO_CACHE",
+              "REPRO_PARALLEL", "REPRO_BACKEND", "REPRO_WORKERS")
 
 
 def floor_enforced() -> bool:

@@ -61,13 +61,12 @@ class Machine:
                  noise: Optional[NoiseModel] = None,
                  completion_slack: float = 0.01,
                  fairness_slack: float = 0.08,
-                 solver: Optional[str] = None,
-                 shards: Optional[int] = None) -> None:
+                 solver: Optional[str] = None) -> None:
         self.spec = spec
         self.sim = Simulator()
         self.flows = FlowNetwork(self.sim, completion_slack=completion_slack,
                                  fairness_slack=fairness_slack,
-                                 solver=solver, shards=shards)
+                                 solver=solver)
         self.streams = RandomStreams(seed)
         self.monitor = Monitor()
         self.noise = noise if noise is not None else OSNoise()

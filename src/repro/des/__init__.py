@@ -15,9 +15,6 @@ needs of the cluster/file-system models in this package:
   binary heap, ``REPRO_SCHEDULER``);
 - :mod:`~repro.des.kernels` — the optional compiled water-filling kernel
   (``REPRO_KERNEL``);
-- :mod:`~repro.des.partition` / :mod:`~repro.des.shards` — min-cut graph
-  partitioning and the persistent shard-worker pool behind the
-  ``sharded`` solver (``REPRO_SOLVER=sharded``, ``REPRO_SHARDS``);
 - :mod:`~repro.des.rng` — named, deterministic random streams;
 - :mod:`~repro.des.monitor` — counters and time series for instrumentation.
 """
@@ -29,10 +26,7 @@ from repro.des.sched import SCHED_CALENDAR, SCHED_HEAP, resolve_scheduler
 from repro.des.process import AllOf, AnyOf, Interrupt, Process
 from repro.des.resources import PriorityResource, Resource, Store
 from repro.des.bandwidth import (Flow, FlowNetwork, LinkCapacity,
-                                 SOLVER_COMPONENT, SOLVER_GLOBAL,
-                                 SOLVER_SHARDED)
-from repro.des.shards import (DEFAULT_SHARDS, ShardWorkerPool,
-                              resolve_shard_workers, resolve_shards)
+                                 SOLVER_COMPONENT, SOLVER_GLOBAL)
 from repro.des.rng import RandomStreams
 from repro.des.monitor import Counter, Monitor, TimeSeries
 
@@ -40,7 +34,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Counter",
-    "DEFAULT_SHARDS",
     "Event",
     "Flow",
     "FlowNetwork",
@@ -57,14 +50,10 @@ __all__ = [
     "SCHED_HEAP",
     "SOLVER_COMPONENT",
     "SOLVER_GLOBAL",
-    "SOLVER_SHARDED",
-    "ShardWorkerPool",
     "Simulator",
     "Store",
     "TimeSeries",
     "kernel_status",
     "resolve_kernel",
     "resolve_scheduler",
-    "resolve_shard_workers",
-    "resolve_shards",
 ]

@@ -13,12 +13,10 @@ selection, grant scatter — selected with ``REPRO_KERNEL``:
 - ``compiled``: a C translation of the flow-class water-filling rounds,
   built on first use with the system C compiler into a content-addressed
   shared library (``~/.cache/repro/kernels``, override with
-  ``REPRO_KERNEL_CACHE``) and loaded through :mod:`ctypes`. When no C
-  compiler is available the optional :mod:`numba` dependency
-  (``pip install repro[compiled]``) jit-compiles the same algorithm;
-  if neither backend can be built, requesting ``compiled`` raises a
-  :class:`~repro.errors.SimulationError` naming both failures — loud
-  beats silently running 10x slower.
+  ``REPRO_KERNEL_CACHE``) and loaded through :mod:`ctypes`. When the
+  library cannot be built (no C compiler, unwritable cache), requesting
+  ``compiled`` raises a :class:`~repro.errors.SimulationError` naming
+  the failure — loud beats silently running 10x slower.
 
 Bit-identity contract
 ---------------------
@@ -67,14 +65,10 @@ __all__ = [
     "resolve_kernel",
 ]
 
-#: Use the compiled (C or numba) water-filling kernel.
+#: Use the compiled (C via ctypes) water-filling kernel.
 KERNEL_COMPILED = "compiled"
 #: Use the pure numpy water-filling solve (always available).
 KERNEL_PYTHON = "python"
-
-#: Mirrors ``repro.des.bandwidth.MAX_RES_PER_FLOW`` (asserted on import
-#: there; duplicated to keep this module importable on its own).
-_KMAX = 4
 
 
 def resolve_kernel(kernel: Optional[str]) -> str:
@@ -398,10 +392,8 @@ def maxmin_class_solve_np(flow_class: np.ndarray, class_res: np.ndarray,
                           ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorised flow-class water-filling over an explicit class table.
 
-    The body of ``FlowNetwork._maxmin_rates``'s class path, factored out
-    so callers that hold their own packed tables — shard workers solving
-    a sub-network, the sharded solver's reconciliation loop — run the
-    exact same floating-point operation sequence as an in-network solve.
+    The body of ``FlowNetwork._maxmin_rates``'s class path, written
+    over explicit tables with the same signature as the compiled kernel.
     Returns ``(rate, cap_used)`` like :meth:`MaxminKernel.solve`.
     """
     nres = capacities.size
@@ -469,7 +461,7 @@ def maxmin_class_solve_np(flow_class: np.ndarray, class_res: np.ndarray,
 
 
 # --------------------------------------------------------------------- #
-# the scalar spec (numba backend, and the C kernel's executable spec)
+# the scalar spec (the C kernel's executable spec)
 # --------------------------------------------------------------------- #
 def maxmin_class_solve_py(flow_class: np.ndarray, class_res: np.ndarray,
                           class_cap: np.ndarray, capacities: np.ndarray,
@@ -477,11 +469,9 @@ def maxmin_class_solve_py(flow_class: np.ndarray, class_res: np.ndarray,
                           cap_used_out: np.ndarray) -> int:
     """Scalar-loop water-filling: the C kernel's algorithm in Python.
 
-    Written in the numba-jittable subset (arrays + scalars, no dicts or
-    lists) so it serves two purposes: ``@njit``-compiled it is the
-    ``compiled`` backend on machines with numba but no C compiler, and
-    interpreted it is the executable specification the equivalence
-    tests diff the C kernel against bit-for-bit.
+    Written with arrays and scalars only (no dicts or lists), mirroring
+    the C source loop for loop: it is the executable specification the
+    equivalence tests diff the C kernel against bit-for-bit.
     """
     nflows = flow_class.shape[0]
     nct = class_cap.shape[0]
@@ -620,32 +610,13 @@ def maxmin_class_solve_py(flow_class: np.ndarray, class_res: np.ndarray,
     return rounds
 
 
-def _load_numba_solver() -> Callable:
-    import numba  # optional dependency: pip install repro[compiled]
-
-    jitted = numba.njit(cache=True)(maxmin_class_solve_py)
-
-    def call(nflows, flow_class, nct, kmax, class_res, class_cap, nres,
-             capacities, fairness_slack, rate_out, cap_used_out):
-        return jitted(flow_class, class_res, class_cap, capacities,
-                      fairness_slack, rate_out, cap_used_out)
-
-    # Force compilation now so a broken numba install fails the probe
-    # (and falls through to the error message) instead of the first solve.
-    call(0, np.zeros(0, dtype=np.int64), 0, _KMAX,
-         np.zeros((0, _KMAX), dtype=np.int64), np.zeros(0),
-         0, np.zeros(0), 0.0, np.zeros(0), np.zeros(0))
-    return call
-
-
 class MaxminKernel:
-    """Handle on a loaded compiled backend (``.backend`` is ``c`` or
-    ``numba``); ``solve`` mirrors ``FlowNetwork._maxmin_rates``."""
+    """Handle on the loaded C kernel; ``solve`` mirrors
+    ``FlowNetwork._maxmin_rates``."""
 
-    __slots__ = ("backend", "_fn")
+    __slots__ = ("_fn",)
 
-    def __init__(self, backend: str, fn: Callable) -> None:
-        self.backend = backend
+    def __init__(self, fn: Callable) -> None:
         self._fn = fn
 
     def solve(self, flow_class: np.ndarray, class_res: np.ndarray,
@@ -660,7 +631,7 @@ class MaxminKernel:
             rate, cap_used)
         if rounds < 0:
             raise SimulationError(
-                f"compiled maxmin kernel ({self.backend}) ran out of "
+                f"compiled maxmin kernel ran out of "
                 f"memory for {flow_class.size} flows")
         return rate, cap_used
 
@@ -674,34 +645,27 @@ def _probe() -> Tuple[Optional[MaxminKernel], Optional[str]]:
     global _PROBE
     if _PROBE is not None:
         return _PROBE
-    errors = []
-    kernel = None
     try:
-        kernel = MaxminKernel("c", _load_c_solver())
+        _PROBE = (MaxminKernel(_load_c_solver()), None)
     except Exception as exc:  # compiler missing, cc error, bad cache dir
-        errors.append(f"C backend: {exc}")
-        try:
-            kernel = MaxminKernel("numba", _load_numba_solver())
-        except Exception as exc2:
-            errors.append(f"numba backend: {exc2}")
-    _PROBE = (kernel, None if kernel else "; ".join(errors))
+        _PROBE = (None, f"C backend: {exc}")
     return _PROBE
 
 
 def compiled_kernel() -> MaxminKernel:
-    """The compiled backend, building it on first call; raises
-    :class:`~repro.errors.SimulationError` when none can be loaded."""
+    """The C kernel, building it on first call; raises
+    :class:`~repro.errors.SimulationError` when it cannot be loaded."""
     kernel, error = _probe()
     if kernel is None:
         raise SimulationError(
-            f"REPRO_KERNEL=compiled requested but no compiled backend "
-            f"is available ({error}); set REPRO_KERNEL=python or "
-            f"install a C compiler / pip install repro[compiled]")
+            f"REPRO_KERNEL=compiled requested but the C kernel could "
+            f"not be built ({error}); set REPRO_KERNEL=python or "
+            f"install a C compiler")
     return kernel
 
 
 def kernel_status() -> str:
-    """``c``/``numba`` when a compiled backend loads, else ``unavailable``
-    (for diagnostics; never raises, but does build on first call)."""
+    """``c`` when the C kernel loads, else ``unavailable`` (for
+    diagnostics; never raises, but does build on first call)."""
     kernel, _error = _probe()
-    return kernel.backend if kernel is not None else "unavailable"
+    return "c" if kernel is not None else "unavailable"

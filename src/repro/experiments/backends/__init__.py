@@ -3,14 +3,13 @@
 :func:`repro.experiments.executor.run_sweep` is a cache-aware
 scheduler over any :class:`~repro.experiments.backends.base.Backend`:
 
-==========  ============================================  ==========
-name        runs tasks on                                 extra deps
-==========  ============================================  ==========
-serial      the calling process                           —
-process     a local ``ProcessPoolExecutor``               —
-remote      TCP workers (``repro.tools.sweepworkerctl``)  —
-dask        a Dask ``distributed`` cluster                repro[dask]
-==========  ============================================  ==========
+==========  ============================================
+name        runs tasks on
+==========  ============================================
+serial      the calling process
+process     a local ``ProcessPoolExecutor``
+remote      TCP workers (``repro.tools.sweepworkerctl``)
+==========  ============================================
 
 Pick one by name with :func:`make_backend` (what ``REPRO_BACKEND`` and
 the figure CLI's ``--backend`` resolve through) or construct directly.
@@ -61,7 +60,7 @@ __all__ = [
 ]
 
 #: Names :func:`make_backend` accepts.
-BACKENDS = ("serial", "process", "remote", "dask")
+BACKENDS = ("serial", "process", "remote")
 
 
 def default_backend_name() -> str:
@@ -86,7 +85,7 @@ def make_backend(name: Optional[str] = None, *,
     """Build a backend by registry name.
 
     ``name=None`` resolves :func:`default_backend_name`. ``workers``
-    means a worker *count* for process/dask and worker *addresses*
+    means a worker *count* for process and worker *addresses*
     (string or list, ``REPRO_WORKERS`` format) for remote; it is
     ignored by serial.
     """
@@ -100,14 +99,5 @@ def make_backend(name: Optional[str] = None, *,
         return ProcessBackend(workers=count)
     if name == "remote":
         return RemoteBackend(workers=workers)
-    if name == "dask":
-        from repro.experiments.backends.daskback import DaskBackend
-        count = None
-        address = None
-        if isinstance(workers, str) and not workers.isdigit():
-            address = workers
-        elif workers is not None:
-            count = int(workers)
-        return DaskBackend(address, workers=count)
     raise BackendError(
         f"unknown backend {name!r}; pick one of {', '.join(BACKENDS)}")

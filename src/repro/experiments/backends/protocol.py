@@ -74,8 +74,6 @@ MODE_ENV_KEYS = (
     "REPRO_SOLVER",
     "REPRO_KERNEL",
     "REPRO_SCHEDULER",
-    "REPRO_SHARDS",
-    "REPRO_SHARD_WORKERS",
     "REPRO_TRACE",
 )
 

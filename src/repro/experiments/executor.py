@@ -14,11 +14,11 @@ scheduling:
   returned instantly and never reach a backend; the remaining misses go
   to a :class:`~repro.experiments.backends.Backend` — in-process
   serial, a local process pool, TCP sweep workers on other machines
-  (:mod:`repro.experiments.backends.remote`), or a Dask cluster — and
-  are written back as they complete. Results stream in **completion
-  order** (one progress tick each, with the task's wall ``duration``
-  and ``worker`` origin) but are reassembled **by index**, so every
-  backend returns a bit-identical list;
+  (:mod:`repro.experiments.backends.remote`) — and are written back as
+  they complete. Results stream in **completion order** (one progress
+  tick each, with the task's wall ``duration`` and ``worker`` origin)
+  but are reassembled **by index**, so every backend returns a
+  bit-identical list;
 - :func:`default_parallelism` — worker count from the
   ``REPRO_PARALLEL`` environment variable (default ``1`` = serial).
 
@@ -33,8 +33,8 @@ constructed and closed per sweep.
 Caching is off unless requested: pass an explicit
 :class:`~repro.cache.ResultCache`, or set ``REPRO_CACHE=1`` (location
 via ``REPRO_CACHE_DIR``). The normalised run-mode environment
-(:func:`env_mode_context`: ``REPRO_FAST``, solver, kernel, scheduler,
-shards) is folded into every key because drivers read those knobs
+(:func:`env_mode_context`: ``REPRO_FAST``, solver, kernel, scheduler)
+is folded into every key because drivers read those knobs
 inside the task body; a ``REPRO_TRACE`` run bypasses the cache
 entirely, since serving a hit would silently skip the trace files the
 task is expected to emit.
@@ -143,7 +143,7 @@ class SweepProgress:
     hits: int
     computed: int
     index: int
-    source: str  # "cache" | "serial" | "pool" | "remote" | "dask"
+    source: str  # "cache" | "serial" | "pool" | "remote"
     label: str = ""
     worker: str = ""
     duration: float = 0.0
@@ -161,15 +161,11 @@ def env_mode_context() -> Dict[str, Any]:
     from repro.des.bandwidth import _resolve_solver
     from repro.des.kernels import resolve_kernel
     from repro.des.sched import resolve_scheduler
-    from repro.des.shards import resolve_shards
 
     fast = os.environ.get("REPRO_FAST", "") not in ("", "0", "false")
     return {"repro_fast": fast, "repro_solver": _resolve_solver(None),
             "repro_kernel": resolve_kernel(None),
-            "repro_scheduler": resolve_scheduler(None),
-            # The shard count changes (slack-bounded) sharded-solver
-            # results, so it must partition the cache like the solver.
-            "repro_shards": resolve_shards(None)}
+            "repro_scheduler": resolve_scheduler(None)}
 
 
 def resolve_cache_context(store: ResultCache) -> Any:
@@ -243,7 +239,7 @@ def run_sweep(tasks: Iterable[SweepTask],
     """Run every task and return their results **in task order**.
 
     ``backend`` picks the execution backend for cache misses: a
-    registry name (``serial`` | ``process`` | ``remote`` | ``dask``), a
+    registry name (``serial`` | ``process`` | ``remote``), a
     ready :class:`~repro.experiments.backends.Backend` instance (the
     caller keeps ownership — useful to reuse one process pool or one
     set of remote connections across sweeps), or ``None`` to consult

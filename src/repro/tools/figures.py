@@ -11,7 +11,6 @@ Usage::
     python -m repro.tools.figures --cache all         # reuse cached points
     python -m repro.tools.figures --cache --cache-dir /tmp/c fig4
     python -m repro.tools.figures --solver global fig2   # debug escape hatch
-    python -m repro.tools.figures --solver sharded --shards 8 fig4
     python -m repro.tools.figures --kernel compiled fig4  # compiled solve
     python -m repro.tools.figures --scheduler heap fig2   # binary-heap queue
     python -m repro.tools.figures faults                  # fault degradation
@@ -23,15 +22,13 @@ Usage::
 independent sweep configurations of each driver out over ``N`` worker
 processes; results are bit-identical to a serial run.
 
-``--backend serial|process|remote|dask`` (or ``REPRO_BACKEND``) picks
+``--backend serial|process|remote`` (or ``REPRO_BACKEND``) picks
 the sweep-execution backend: ``process`` (the default) is the local
 pool sized by ``--parallel``; ``remote`` ships cache misses to TCP
 workers launched with ``python -m repro.tools.sweepworkerctl serve``
 on this or other machines — ``--workers host:port,host:port`` (or
-``REPRO_WORKERS``) says where; ``dask`` submits to a Dask cluster
-(needs the ``repro[dask]`` extra; scheduler address via
-``REPRO_DASK_SCHEDULER``, else a local cluster). Every backend returns
-bit-identical results; see the README's "Distributed sweeps" section.
+``REPRO_WORKERS``) says where. Every backend returns bit-identical
+results; see the README's "Distributed sweeps" section.
 
 ``--trace DIR`` (or ``REPRO_TRACE=DIR``) records a structured trace of
 every sweep configuration into ``DIR/<label>.jsonl``; inspect them with
@@ -46,24 +43,20 @@ forces caching off regardless of the environment. Inspect and maintain
 the store with ``python -m repro.tools.cachectl``. A ``--trace`` run
 bypasses the cache (trace files are a side effect a hit would skip).
 
-``--solver component|global|sharded`` (or ``REPRO_SOLVER``) picks the
+``--solver component|global`` (or ``REPRO_SOLVER``) picks the
 bandwidth-share recomputation strategy: ``component`` (the default)
 re-solves only the connected components of the resource-contention
 graph touched since the last solve; ``global`` re-solves the whole
 network every time — slower, but the reference behaviour to diff
-against when debugging (bit-identical at ``fairness_slack=0``);
-``sharded`` additionally min-cut-partitions oversized weakly coupled
-components into ``--shards N`` sub-networks (``REPRO_SHARDS``, default
-4) solved independently, with the cut reconciled to within
-``fairness_slack``. The mode and the shard count are folded into cache
-keys, so cached points never leak across solvers.
+against when debugging (bit-identical at ``fairness_slack=0``). The
+mode is folded into cache keys, so cached points never leak across
+solvers.
 
 ``--kernel compiled|python`` (or ``REPRO_KERNEL``) picks the
 water-filling implementation: ``python`` (the default) is the numpy
-solve, ``compiled`` runs the C/numba kernel from
-:mod:`repro.des.kernels` — bit-identical, several times faster on
-large storms, but needs a C compiler (or the ``repro[compiled]``
-extra) at first use. ``--scheduler calendar|heap`` (or
+solve, ``compiled`` runs the C kernel from :mod:`repro.des.kernels`
+— bit-identical, several times faster on large storms, but needs a C
+compiler at first use. ``--scheduler calendar|heap`` (or
 ``REPRO_SCHEDULER``) picks the event-queue implementation (calendar
 queue by default; the binary heap is the fallback). Both modes are
 folded into cache keys alongside the solver.
@@ -119,7 +112,7 @@ def main(argv=None) -> int:
             backend = argv[at + 1]
         except IndexError:
             print("--backend requires a mode "
-                  "(serial|process|remote|dask)", file=sys.stderr)
+                  "(serial|process|remote)", file=sys.stderr)
             return 2
         from repro.experiments.backends import BACKENDS
         if backend not in BACKENDS:
@@ -163,32 +156,16 @@ def main(argv=None) -> int:
         try:
             solver = argv[at + 1]
         except IndexError:
-            print("--solver requires a mode (component|global|sharded)",
+            print("--solver requires a mode (component|global)",
                   file=sys.stderr)
             return 2
-        if solver not in ("component", "global", "sharded"):
-            print(f"--solver must be 'component', 'global' or 'sharded', "
+        if solver not in ("component", "global"):
+            print(f"--solver must be 'component' or 'global', "
                   f"got {solver!r}", file=sys.stderr)
             return 2
         del argv[at:at + 2]
         # FlowNetwork reads this when each sweep worker builds its machine.
         os.environ["REPRO_SOLVER"] = solver
-    if "--shards" in argv:
-        at = argv.index("--shards")
-        try:
-            shards = int(argv[at + 1])
-        except (IndexError, ValueError):
-            print("--shards requires an integer shard count",
-                  file=sys.stderr)
-            return 2
-        if shards < 1:
-            print(f"--shards must be >= 1, got {shards}", file=sys.stderr)
-            return 2
-        del argv[at:at + 2]
-        # FlowNetwork reads this when each sweep worker builds its
-        # machine; only the sharded solver acts on it, but it is always
-        # folded into cache keys (it changes sharded results).
-        os.environ["REPRO_SHARDS"] = str(shards)
     if "--kernel" in argv:
         at = argv.index("--kernel")
         try:

@@ -358,6 +358,18 @@ class TestRegistry:
         with pytest.raises(BackendError, match="REPRO_BACKEND"):
             default_backend_name()
 
+    def test_removed_backend_value_rejected(self, monkeypatch):
+        """A deleted backend name is rejected: both the registry and the
+        environment reject it, naming the valid options."""
+        with pytest.raises(BackendError) as err:
+            make_backend("dask")
+        monkeypatch.setenv("REPRO_BACKEND", "dask")
+        with pytest.raises(BackendError) as env_err:
+            default_backend_name()
+        for message in (str(err.value), str(env_err.value)):
+            for option in ("serial", "process", "remote"):
+                assert option in message
+
     def test_remote_needs_addresses(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         with pytest.raises(RemoteBackendError, match="REPRO_WORKERS"):

@@ -32,7 +32,7 @@ from repro.des.sched import (CalendarScheduler, HeapScheduler,
 from repro.errors import SimulationError
 
 needs_compiled = pytest.mark.skipif(kernel_status() == "unavailable",
-                                    reason="no C compiler and no numba")
+                                    reason="no C compiler")
 
 
 # --------------------------------------------------------------------- #

@@ -6,11 +6,12 @@ rate caps — the textbook algorithm, no numpy, no equivalence classes.
 The property suite asserts that ``FlowNetwork._maxmin_rates`` (which
 dispatches between a per-flow solve, a flow-class solve, and the
 compiled kernel) matches it at ``fairness_slack=0`` on randomized flow
-sets — parametrized over all three solvers and both kernels (the
-sharded solver never partitions at zero slack, so it must match the
-reference exactly) — and that the
-standard max-min invariants hold: capacity conservation, per-flow caps
-respected, and work conservation (every flow is limited by its cap or
+sets — parametrized over both solvers and both kernels, plus a
+``sharded`` layout in which the component solver meets several
+resource-disjoint copies of the flow set arriving together next to an
+already-solved copy, so it takes its batched multi-component solve —
+and that the standard max-min invariants hold: capacity conservation,
+per-flow caps respected, and work conservation (every flow is limited by its cap or
 by a saturated resource).
 """
 
@@ -28,7 +29,7 @@ _BATCH = 1.0 + 1e-12
 KERNELS = ["python",
            pytest.param("compiled", marks=pytest.mark.skipif(
                kernel_status() == "unavailable",
-               reason="no C compiler and no numba"))]
+               reason="no C compiler"))]
 
 
 def reference_maxmin(flows, capacities):
@@ -80,6 +81,35 @@ def solver_rates(flows, capacities, solver="component", kernel="python"):
     return [float(r) for r in net._rate[idx]]
 
 
+def sharded_rates(flows, capacities, kernel="python", copies=3):
+    """Lay ``copies`` resource-disjoint copies of the flow set on one
+    component-solver network and return each copy's rates.
+
+    Copy 0 is solved alone at t=0; copies 1.. arrive together at t=1,
+    so the recompute sees several dirty components beside a clean one
+    and solves them in one batched kernel call (or fast-grants them).
+    """
+    sim = Simulator()
+    net = FlowNetwork(sim, solver="component", kernel=kernel)
+    nres = len(capacities)
+    links = [net.add_capacity(f"r{i}", capacities[i % nres])
+             for i in range(copies * nres)]
+    handles = [[] for _ in range(copies)]
+
+    def launch(copy):
+        base = copy * nres
+        for resources, cap in flows:
+            handles[copy].append(net.transfer(
+                [links[base + r] for r in resources], 1e9, rate_cap=cap))
+
+    launch(0)
+    for copy in range(1, copies):
+        sim.schedule_callback(1.0, lambda copy=copy: launch(copy))
+    sim.run(until=1.0)
+    return [[float(net._rate[f.index]) for f in copy_flows]
+            for copy_flows in handles]
+
+
 def random_flow_set(rng, allow_duplicates):
     """A randomized (flows, capacities) instance.
 
@@ -105,17 +135,22 @@ def random_flow_set(rng, allow_duplicates):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("solver", ["component", "global", "sharded"])
+@pytest.mark.parametrize("mode", ["component", "global", "sharded"])
 @pytest.mark.parametrize("seed", range(20))
 @pytest.mark.parametrize("allow_duplicates", [False, True],
                          ids=["distinct", "duplicated"])
-def test_solver_matches_reference(seed, allow_duplicates, solver, kernel):
+def test_solver_matches_reference(seed, allow_duplicates, mode, kernel):
     rng = np.random.default_rng(1000 + seed)
     flows, capacities = random_flow_set(rng, allow_duplicates)
     expected = reference_maxmin(flows, capacities)
-    got = solver_rates(flows, capacities, solver=solver, kernel=kernel)
-    assert len(got) == len(expected)
-    np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9)
+    if mode == "sharded":
+        per_copy = sharded_rates(flows, capacities, kernel=kernel)
+    else:
+        per_copy = [solver_rates(flows, capacities, solver=mode,
+                                 kernel=kernel)]
+    for got in per_copy:
+        assert len(got) == len(expected)
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -172,13 +172,37 @@ def test_canonical_blob_list_tuple_equivalent(items):
     assert canonical_blob(items) == canonical_blob(tuple(items))
 
 
+def _strict_eq(a, b):
+    """Type-strict structural equality: same type at every node and
+    equal values. Python's ``==`` conflates ``False`` with ``0``, ``1``
+    with ``1.0`` and ``0.0`` with ``-0.0``; the canonical encoding keeps
+    each pair apart, so this is the oracle it must agree with."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return repr(a) == repr(b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_strict_eq, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_strict_eq(a[k], b[k])
+                                            for k in a)
+    return a == b
+
+
 @settings(max_examples=80, deadline=None)
 @given(_json_values, _json_values)
 def test_canonical_blob_distinguishes_distinct_values(a, b):
-    if a != b:
-        assert canonical_blob(a) != canonical_blob(b)
-    else:
+    if _strict_eq(a, b):
         assert canonical_blob(a) == canonical_blob(b)
+    else:
+        assert canonical_blob(a) != canonical_blob(b)
+
+
+@pytest.mark.parametrize("a,b", [
+    ({"0": False}, {"0": 0}), ([1], [1.0]), (0.0, -0.0)])
+def test_strict_eq_separates_what_python_conflates(a, b):
+    assert a == b and not _strict_eq(a, b)
+    assert canonical_blob(a) != canonical_blob(b)
 
 
 def test_canonical_blob_bool_int_not_conflated():

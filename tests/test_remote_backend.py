@@ -35,9 +35,8 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: Environment knobs that must not leak from the test runner into
 #: worker subprocesses (the welcome frame is what configures them).
 _MODE_KEYS = ("REPRO_FAST", "REPRO_SOLVER", "REPRO_KERNEL",
-              "REPRO_SCHEDULER", "REPRO_SHARDS", "REPRO_SHARD_WORKERS",
-              "REPRO_TRACE", "REPRO_CACHE", "REPRO_PARALLEL",
-              "REPRO_BACKEND", "REPRO_WORKERS")
+              "REPRO_SCHEDULER", "REPRO_TRACE", "REPRO_CACHE",
+              "REPRO_PARALLEL", "REPRO_BACKEND", "REPRO_WORKERS")
 
 
 def _worker_env():
@@ -156,8 +155,6 @@ class TestDeterminismMatrix:
     MATRIX = [
         {"REPRO_SOLVER": "component", "REPRO_SCHEDULER": "calendar"},
         {"REPRO_SOLVER": "global", "REPRO_SCHEDULER": "heap"},
-        {"REPRO_SOLVER": "sharded", "REPRO_SCHEDULER": "calendar",
-         "REPRO_SHARDS": "2"},
     ]
 
     def test_matrix_bit_identity(self, fleet, monkeypatch):

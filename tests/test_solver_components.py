@@ -11,9 +11,10 @@ at both solvers and diff the full observable outcome.
 
 Also covered: the union-find component registry (merge on arrival, lazy
 split on rebuild), the per-component completion targets feeding the
-tick, solver selection (argument vs ``REPRO_SOLVER``), the solver
-statistics surfaced through the tracer and ``tracereport``, and
-serial-vs-parallel sweep determinism under the component solver.
+tick, solver selection (argument vs ``REPRO_SOLVER``) and mode
+validation, batched same-tick component solves, the solver statistics
+surfaced through the tracer and ``tracereport``, and serial-vs-parallel
+sweep determinism under the component solver.
 """
 
 import math
@@ -254,6 +255,44 @@ def test_invalid_solver_rejected(monkeypatch):
         FlowNetwork(Simulator())
 
 
+def test_network_validates_every_mode_listing_options(monkeypatch):
+    """Construction must fail loudly on any bad mode value, naming the
+    valid options — for the solver, the kernel and the scheduler alike."""
+    with pytest.raises(SimulationError) as err:
+        FlowNetwork(Simulator(), solver="quantum")
+    for option in ("component", "global"):
+        assert option in str(err.value)
+    monkeypatch.setenv("REPRO_SOLVER", "fast")
+    with pytest.raises(SimulationError, match="REPRO_SOLVER"):
+        FlowNetwork(Simulator())
+    monkeypatch.delenv("REPRO_SOLVER")
+    with pytest.raises(SimulationError) as err:
+        FlowNetwork(Simulator(), kernel="gpu")
+    for option in ("compiled", "python"):
+        assert option in str(err.value)
+    monkeypatch.setenv("REPRO_KERNEL", "rust")
+    with pytest.raises(SimulationError, match="REPRO_KERNEL"):
+        FlowNetwork(Simulator())
+    monkeypatch.delenv("REPRO_KERNEL")
+    with pytest.raises(SimulationError) as err:
+        Simulator(scheduler="wheel")
+    for option in ("calendar", "heap"):
+        assert option in str(err.value)
+    monkeypatch.setenv("REPRO_SCHEDULER", "ladder")
+    with pytest.raises(SimulationError, match="REPRO_SCHEDULER"):
+        Simulator()
+
+
+def test_removed_solver_value_rejected(monkeypatch):
+    """A deleted solver value is rejected: selecting it through the
+    environment fails at construction and names the valid options."""
+    monkeypatch.setenv("REPRO_SOLVER", "sharded")
+    with pytest.raises(SimulationError) as err:
+        FlowNetwork(Simulator())
+    for option in ("component", "global"):
+        assert repr(option) in str(err.value)
+
+
 def test_machine_solver_passthrough():
     from repro.cluster.machine import Machine, MachineSpec
 
@@ -384,6 +423,61 @@ def test_render_summary_without_solver_events():
     tracer.record_span("persist", "it0", "server", 0.0, 1.0)
     text = render_summary(tracer)
     assert "bandwidth solver" not in text
+
+
+# ---------------------------------------------------------------------- #
+# batched same-tick component solves
+# ---------------------------------------------------------------------- #
+def _disjoint_batch_run(solver):
+    sim = Simulator()
+    net = FlowNetwork(sim, solver=solver)
+    links = [net.add_capacity(f"l{i}", 1e8 * (i + 1)) for i in range(6)]
+    for i, link in enumerate(links):
+        for w in range(3):
+            net.transfer([link], 5e6, rate_cap=2e7 * (1 + 0.3 * w),
+                         label=f"w{i}.{w}")
+    # Same-tick capless arrivals on several disjoint components: the
+    # fast path cannot absorb them, so the recompute sees multiple
+    # dirty roots at once — the batched single-kernel invocation.
+    def late_arrivals():
+        for i in (0, 2, 4):
+            net.transfer([links[i]], 3e6, label=f"late{i}")
+    sim.schedule_callback(0.01, late_arrivals)
+    sim.run()
+    return net, sim.now
+
+
+def test_batched_component_solves_bit_identical_to_global():
+    comp, t_comp = _disjoint_batch_run(SOLVER_COMPONENT)
+    glob, t_glob = _disjoint_batch_run(SOLVER_GLOBAL)
+    assert comp.solver_stats["batched_solves"] >= 1
+    assert glob.solver_stats["batched_solves"] == 0
+    assert comp.total_bytes_moved == glob.total_bytes_moved
+    assert comp.completed_flows == glob.completed_flows
+    assert t_comp == t_glob
+
+
+def test_batched_solves_counted_in_stats_and_trace():
+    from repro.observe import Tracer, solver_table
+
+    sim = Simulator()
+    tracer = Tracer(clock=lambda: sim.now, clock_name="sim")
+    sim.tracer = tracer
+    net = FlowNetwork(sim, solver=SOLVER_COMPONENT)
+    links = [net.add_capacity(f"l{i}", 1e9) for i in range(4)]
+    for link in links:
+        net.transfer([link], 1e6, rate_cap=5e5)
+
+    def burst():
+        # Only a subset of the components: dirtying all of them would
+        # take the whole-network shortcut instead of the batched path.
+        for link in links[:2]:
+            net.transfer([link], 1e6)
+    sim.schedule_callback(0.01, burst)
+    sim.run()
+    assert net.solver_stats["batched_solves"] >= 1
+    rows = solver_table(tracer)
+    assert rows and rows[0]["solver"] == SOLVER_COMPONENT
 
 
 # ---------------------------------------------------------------------- #

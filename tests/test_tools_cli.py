@@ -24,10 +24,6 @@ TOOLS_ENV = dict(os.environ,
                                          "src"))
 TRACE_FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                              "trace_grid5000_damaris.jsonl")
-#: A REPRO_SOLVER=sharded run of a small weakly coupled ladder storm;
-#: its solver events carry the shard counters the wider table shows.
-SHARDED_TRACE_FIXTURE = os.path.join(os.path.dirname(__file__), "data",
-                                     "trace_sharded_storm.jsonl")
 
 
 def run_tool(*argv, check=True, timeout=120):
@@ -108,21 +104,50 @@ class TestTracereport:
                        "--by", by).stdout
         assert expect in out
 
-    def test_sharded_trace_prints_shard_counters(self):
-        out = run_tool("repro.tools.tracereport", SHARDED_TRACE_FIXTURE,
-                       "--by", "solver").stdout
-        for column in ("shards", "shard_solves", "cut_bytes",
-                       "imbalance", "reconcile_iters"):
-            assert column in out, out
-        # The non-sharded fixture keeps the narrow pre-shard table.
-        narrow = run_tool("repro.tools.tracereport", TRACE_FIXTURE,
-                          "--by", "solver").stdout
-        assert "cut_bytes" not in narrow, narrow
-
     def test_missing_file_is_clean_error(self, tmp_path):
         proc = run_tool("repro.tools.tracereport",
                         str(tmp_path / "nope.jsonl"), check=False)
         assert proc.returncode != 0
+
+
+# --------------------------------------------------------------------- #
+# figures (a clean run leaves no processes and no tracebacks behind)
+# --------------------------------------------------------------------- #
+_CLEAN_RUN = """
+import multiprocessing, os, sys
+from repro.tools import figures
+
+rc = figures.main(["--backend", "process", "--parallel", "2", "table1"])
+me = os.getpid()
+children = 0
+for entry in os.listdir("/proc"):
+    if not entry.isdigit():
+        continue
+    try:
+        with open(f"/proc/{entry}/stat") as fh:
+            stat = fh.read()
+    except OSError:
+        continue
+    # Fields after the parenthesised command name: state, ppid, ...
+    if int(stat.rsplit(")", 1)[1].split()[1]) == me:
+        children += 1
+print(len(multiprocessing.active_children()), children)
+sys.exit(rc)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs")
+def test_figures_process_backend_clean_run():
+    """A process-pool sweep exits 0, writes nothing to stderr (no
+    finalizer or worker tracebacks) and leaves no child processes."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLEAN_RUN],
+        env=dict(TOOLS_ENV, REPRO_FAST="1"),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr or proc.stdout
+    assert proc.stderr == ""
+    active, children = proc.stdout.splitlines()[-1].split()
+    assert (int(active), int(children)) == (0, 0), proc.stdout
 
 
 # --------------------------------------------------------------------- #
