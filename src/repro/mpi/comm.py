@@ -13,15 +13,20 @@ Cost model:
 - bcast/reduce: log₂(P) rounds of (latency + volume/NIC) — volumes in this
   package are small (metadata, handles), so no flows are spawned;
 - gather/allgather: root-side NIC-rx flow of the aggregate volume (the
-  root's NIC is the contended resource);
+  root's NIC is the contended resource); allgather's result is one list,
+  built once and shared read-only by every rank;
 - alltoallv: per-rank egress and ingress flows through NICs and fabric —
-  the dominant cost of two-phase collective I/O at scale.
+  the dominant cost of two-phase collective I/O at scale. Sends are
+  sparse ``{dst: bytes}`` mappings, and the last rank to arrive computes
+  every rank's egress, ingress and message count in one pass over the
+  messages, so one call costs O(P + messages) host work in total, not
+  O(P) per rank.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Sequence
 
 from repro.des.core import Event
 from repro.des.process import AllOf
@@ -44,6 +49,8 @@ class _Rendezvous:
         self.arrived = 0
         self.event = Event(sim)
         self.payloads: Dict[int, Any] = {}
+        #: The root's value (bcast), or the result the last arrival
+        #: computed once for every rank (allgather, alltoallv).
         self.root_value: Any = None
 
 
@@ -58,6 +65,8 @@ class Communicator:
             raise MPIError("a communicator needs at least one rank")
         self.machine = machine
         self.cores: List["Core"] = list(cores)
+        self.size = len(self.cores)
+        self._nodes: List["SMPNode"] = [core.node for core in self.cores]
         self.latency = latency
         self.id = Communicator._next_id
         Communicator._next_id += 1
@@ -70,15 +79,11 @@ class Communicator:
     # ------------------------------------------------------------------ #
     # topology
     # ------------------------------------------------------------------ #
-    @property
-    def size(self) -> int:
-        return len(self.cores)
-
     def node_of(self, rank: int) -> "SMPNode":
-        return self.cores[rank].node
+        return self._nodes[rank]
 
     def ranks_on_node(self, node: "SMPNode") -> List[int]:
-        return [r for r, core in enumerate(self.cores) if core.node is node]
+        return [r for r, n in enumerate(self._nodes) if n is node]
 
     def split(self, ranks: Sequence[int]) -> "Communicator":
         """Sub-communicator over the given ranks (like MPI_Comm_split)."""
@@ -162,10 +167,15 @@ class Communicator:
             lambda _evt: rdv.event.succeed(delay=self.latency))
 
     def allgather(self, rank: int, value: Any, nbytes: float = 0.0):
-        """Process: every rank gets the list of all values."""
+        """Process: every rank gets the list of all values.
+
+        The list is built once and the same object is returned to every
+        rank: treat it as read-only.
+        """
         rdv = self._join(rank)
         rdv.payloads[rank] = value
         if rdv.arrived == rdv.expected:
+            rdv.root_value = [rdv.payloads[r] for r in range(self.size)]
             # Ring allgather: (P-1) rounds; each rank both sends and
             # receives nbytes per round — charge NIC time accordingly.
             per_round = nbytes / self.machine.spec.nic_bandwidth
@@ -173,7 +183,7 @@ class Communicator:
                 if self.size > 1 else self.latency
             rdv.event.succeed(delay=delay)
         yield rdv.event
-        return [rdv.payloads[r] for r in range(self.size)]
+        return rdv.root_value
 
     def reduce(self, rank: int, value: float, op: Callable = sum,
                root: int = 0):
@@ -196,33 +206,29 @@ class Communicator:
         yield rdv.event
         return op([rdv.payloads[r] for r in range(self.size)])
 
-    def alltoallv(self, rank: int, send_bytes: Sequence[float]):
-        """Process: personalised all-to-all of ``send_bytes[dst]`` bytes.
+    def alltoallv(self, rank: int, sends: Mapping[int, float]):
+        """Process: personalised all-to-all of ``sends[dst]`` bytes.
 
-        The dominant costs are modelled as one egress flow (this rank's
-        NIC-tx + fabric, carrying its inter-node volume) and one ingress
-        flow (NIC-rx), plus per-destination message latency. Returns when
-        this rank's sends and receives have drained and all ranks arrived.
+        ``sends`` maps destination rank to volume: MPI's send-counts
+        array with the zero entries left out. The dominant costs are
+        modelled as one egress flow (this rank's NIC-tx + fabric,
+        carrying its inter-node volume) and one ingress flow (NIC-rx),
+        plus per-destination message latency. Returns when this rank's
+        sends and receives have drained and all ranks arrived.
         """
-        if len(send_bytes) != self.size:
-            raise MPIError(
-                f"alltoallv needs {self.size} send sizes, got "
-                f"{len(send_bytes)}")
+        for dst in sends:
+            if not 0 <= dst < self.size:
+                raise MPIError(f"alltoallv to invalid destination rank "
+                               f"{dst} (size {self.size})")
         rdv = self._join(rank)
-        rdv.payloads[rank] = send_bytes
+        rdv.payloads[rank] = sends
         if rdv.arrived == rdv.expected:
+            rdv.root_value = self._exchange(rdv.payloads)
             rdv.event.succeed()
         yield rdv.event  # rendezvous: volumes of every rank known
 
-        my_node = self.node_of(rank)
-        egress = sum(
-            volume for dst, volume in enumerate(send_bytes)
-            if volume > 0 and self.node_of(dst) is not my_node)
-        ingress = sum(
-            rdv.payloads[src][rank] for src in range(self.size)
-            if rdv.payloads[src][rank] > 0
-            and self.node_of(src) is not my_node)
-        msg_count = sum(1 for volume in send_bytes if volume > 0)
+        egress, ingress, msg_count = rdv.root_value[rank]
+        my_node = self._nodes[rank]
         flows = []
         if egress > 0:
             path = [my_node.nic_tx]
@@ -237,6 +243,34 @@ class Communicator:
             flows.append(self.machine.sim.timeout(self.latency * msg_count))
         if flows:
             yield AllOf(self.machine.sim, flows)
+
+    def _exchange(self, payloads: Dict[int, Mapping[int, float]]
+                  ) -> List[List[float]]:
+        """``[egress, ingress, messages]`` of every rank, from all ranks'
+        sends, in one pass over the messages.
+
+        Only inter-node volume counts as egress or ingress. A rank's
+        egress is summed in ascending destination order and its ingress
+        in ascending source order: the orders of a dense per-rank scan,
+        so the float sums are the same.
+        """
+        nodes = self._nodes
+        table = []
+        received: Dict[int, List[float]] = {}
+        for src in range(self.size):
+            src_node = nodes[src]
+            egress = []
+            count = 0
+            for dst, volume in sorted(payloads[src].items()):
+                if volume > 0:
+                    count += 1
+                    if nodes[dst] is not src_node:
+                        egress.append(volume)
+                        received.setdefault(dst, []).append(volume)
+            table.append([sum(egress), 0, count])
+        for dst, volumes in received.items():
+            table[dst][1] = sum(volumes)
+        return table
 
     # ------------------------------------------------------------------ #
     # point-to-point

@@ -23,9 +23,9 @@ between the two barriers delimiting the I/O phase".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from itertools import accumulate
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.des.process import AllOf
 from repro.errors import MPIError
 from repro.mpi.comm import Communicator
 from repro.units import MiB
@@ -37,22 +37,46 @@ __all__ = ["CollectiveFile", "collective_open", "collective_write",
            "collective_close", "default_aggregators"]
 
 
+class _PhaseLayout(NamedTuple):
+    """Where one write phase's data lands in the file."""
+
+    #: Aggregator rank -> (file offset, bytes) of its contiguous region.
+    regions: Dict[int, Tuple[int, int]]
+    #: File offset of each rank's own block (direct mode).
+    offsets: List[int]
+
+
 class CollectiveFile:
-    """A shared file opened collectively, with aggregator assignment."""
+    """A shared file opened collectively, with aggregator assignment.
+
+    ``aggregators`` must be sorted and distinct (the
+    :func:`default_aggregators` layout): each aggregator then serves a
+    contiguous run of ranks, so a phase's layout is one running sum.
+    """
 
     def __init__(self, comm: Communicator, fs: "ParallelFileSystem",
                  path: str, aggregators: List[int],
-                 handles: Dict[int, "FileHandle"]) -> None:
+                 handles: Dict[int, "FileHandle"],
+                 all_ranks_write: bool = False) -> None:
         self.comm = comm
         self.fs = fs
         self.path = path
         self.aggregators = aggregators
         self.handles = handles  # per-writer FileHandle
+        #: The ranks that open a handle (O(1) membership).
+        self.writers = range(comm.size) if all_ranks_write \
+            else frozenset(aggregators)
         #: Total bytes of each completed write phase, keyed by phase index.
-        #: (Every rank records the same value — idempotent, race-free.)
         self.phase_totals: Dict[int, int] = {}
         #: Per-rank count of collective writes issued (phase index).
         self._rank_phase: Dict[int, int] = {}
+        size, naggs = comm.size, len(aggregators)
+        self._aggregator_table = [aggregators[rank * naggs // size]
+                                  for rank in range(size)]
+        #: First rank served by each aggregator, plus ``size`` at the end.
+        self._spans = [-(-index * size // naggs)
+                       for index in range(naggs + 1)]
+        self._layouts: Dict[int, _PhaseLayout] = {}
 
     def _enter_phase(self, rank: int) -> int:
         phase = self._rank_phase.get(rank, 0)
@@ -66,8 +90,27 @@ class CollectiveFile:
 
     def aggregator_of(self, rank: int) -> int:
         """The aggregator that rank's data is shipped to."""
-        index = rank * len(self.aggregators) // self.comm.size
-        return self.aggregators[index]
+        return self._aggregator_table[rank]
+
+    def _layout(self, phase: int, volumes: List[int]) -> _PhaseLayout:
+        """The phase's layout, computed by the first rank to ask;
+        ``volumes`` is the phase's allgathered per-rank byte counts."""
+        layout = self._layouts.get(phase)
+        if layout is None:
+            self.phase_totals[phase] = int(sum(volumes))
+            base = self.offset_of_phase(phase)
+            # Rank data is laid out in rank order: a rank's block starts
+            # at the sum of the volumes before it.
+            before = list(accumulate(volumes, initial=0))
+            spans = self._spans
+            regions = {
+                agg: (base + int(before[start]),
+                      int(sum(volumes[start:end])))
+                for agg, start, end in zip(self.aggregators, spans,
+                                           spans[1:])}
+            layout = self._layouts[phase] = _PhaseLayout(
+                regions, [base + int(b) for b in before[:-1]])
+        return layout
 
 
 def default_aggregators(comm: Communicator) -> List[int]:
@@ -83,23 +126,22 @@ def collective_open(comm: Communicator, rank: int,
                     fs: "ParallelFileSystem", path: str,
                     stripe_count: Optional[int] = None,
                     stripe_size: Optional[int] = None,
-                    aggregators: Optional[List[int]] = None,
                     all_ranks_write: bool = False):
     """Process: collectively create + open ``path``; returns CollectiveFile.
 
-    Rank 0 creates the file; writer ranks (the aggregators, or everyone
-    when ``all_ranks_write``) each open a handle; the result is broadcast.
+    Rank 0 creates the file and picks the aggregators (one per node);
+    writer ranks (the aggregators, or everyone when ``all_ranks_write``)
+    each open a handle; the result is broadcast.
     """
-    aggs = aggregators if aggregators is not None else default_aggregators(comm)
     shared: Optional[CollectiveFile] = None
     if rank == 0:
         handle0 = yield comm.machine.sim.process(
             fs.create(comm.node_of(0), path,
                       stripe_count=stripe_count, stripe_size=stripe_size))
-        shared = CollectiveFile(comm, fs, path, aggs, {0: handle0})
+        shared = CollectiveFile(comm, fs, path, default_aggregators(comm),
+                                {0: handle0}, all_ranks_write)
     shared = yield from comm.bcast(rank, shared, root=0, nbytes=512)
-    writers = set(range(comm.size)) if all_ranks_write else set(aggs)
-    if rank in writers and rank != 0:
+    if rank in shared.writers and rank != 0:
         handle = yield comm.machine.sim.process(
             fs.open(comm.node_of(rank), path))
         shared.handles[rank] = handle
@@ -119,38 +161,28 @@ def collective_write(cfile: CollectiveFile, rank: int, nbytes: int,
     if cb_buffer < 1:
         raise MPIError(f"cb_buffer must be >= 1, got {cb_buffer}")
     comm = cfile.comm
-    machine = comm.machine
 
     phase = cfile._enter_phase(rank)
     volumes = yield from comm.allgather(rank, nbytes, nbytes=8.0)
-    total = int(sum(volumes))
-    cfile.phase_totals[phase] = total  # same value from every rank
-    base_offset = cfile.offset_of_phase(phase)
+    layout = cfile._layout(phase, volumes)
 
     my_aggregator = cfile.aggregator_of(rank)
-    send_sizes = [0.0] * comm.size
-    if rank != my_aggregator:
-        send_sizes[my_aggregator] = float(nbytes)
-    yield from comm.alltoallv(rank, send_sizes)
+    sends = {} if rank == my_aggregator \
+        else {my_aggregator: float(nbytes)}
+    yield from comm.alltoallv(rank, sends)
 
-    if rank in cfile.handles and rank in cfile.aggregators:
+    if rank in cfile.handles and rank in layout.regions:
         # Aggregate region: the data of every rank mapped to this
         # aggregator, contiguous in file order.
-        my_ranks = [r for r in range(comm.size)
-                    if cfile.aggregator_of(r) == rank]
-        region = int(sum(volumes[r] for r in my_ranks))
-        if region > 0:
-            prefix = int(sum(volumes[r] for r in range(comm.size)
-                             if cfile.aggregator_of(r) < rank))
-            offset = base_offset + prefix
-            # Collective-buffering rounds: cb_buffer bytes at a time.
-            position = 0
-            while position < region:
-                chunk = min(cb_buffer, region - position)
-                yield from cfile.fs.write(cfile.handles[rank],
-                                          offset + position, chunk,
-                                          label="cw")
-                position += chunk
+        offset, region = layout.regions[rank]
+        # Collective-buffering rounds: cb_buffer bytes at a time.
+        position = 0
+        while position < region:
+            chunk = min(cb_buffer, region - position)
+            yield from cfile.fs.write(cfile.handles[rank],
+                                      offset + position, chunk,
+                                      label="cw")
+            position += chunk
     yield from comm.barrier(rank)
     return nbytes
 
@@ -172,10 +204,7 @@ def collective_write_direct(cfile: CollectiveFile, rank: int, nbytes: int,
             "all_ranks_write=True)")
     phase = cfile._enter_phase(rank)
     volumes = yield from comm.allgather(rank, nbytes, nbytes=8.0)
-    total = int(sum(volumes))
-    cfile.phase_totals[phase] = total
-    base_offset = cfile.offset_of_phase(phase)
-    my_offset = base_offset + int(sum(volumes[:rank]))
+    my_offset = cfile._layout(phase, volumes).offsets[rank]
     if nbytes > 0:
         yield from cfile.fs.write(cfile.handles[rank], my_offset,
                                   int(nbytes),

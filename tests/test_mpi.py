@@ -1,11 +1,18 @@
 """Unit/integration tests for the MPI-like layer and collective I/O."""
 
+import random
+
 import pytest
 
 from repro.cluster import Machine, MachineSpec, NoNoise
 from repro.errors import MPIError
 from repro.mpi import Communicator, collective_open, collective_write
-from repro.mpi.mpiio import collective_close, default_aggregators
+from repro.mpi import mpiio
+from repro.mpi.mpiio import (
+    CollectiveFile,
+    collective_close,
+    default_aggregators,
+)
 from repro.storage import Lustre, MetadataSpec, TargetSpec
 from repro.units import GiB, MiB
 
@@ -128,10 +135,12 @@ class TestCollectives:
         assert results[3] == (None, 10)
 
     def test_alltoallv_validates_length(self):
+        """Sends are sparse: the check is that every destination is a
+        rank of the communicator."""
         machine, comm = make_comm(nodes=1, cores=2)
 
         def prog(rank):
-            yield from comm.alltoallv(rank, [1.0])
+            yield from comm.alltoallv(rank, {comm.size: 1.0})
 
         with pytest.raises(MPIError):
             run_ranks(machine, comm, prog)
@@ -140,9 +149,8 @@ class TestCollectives:
         machine, comm = make_comm(nodes=2, cores=2)
 
         def prog(rank):
-            sizes = [0.0] * comm.size
             # Everyone sends 1 GiB to the diagonally-opposite rank.
-            sizes[(rank + 2) % comm.size] = float(1 * GiB)
+            sizes = {(rank + 2) % comm.size: float(1 * GiB)}
             yield from comm.alltoallv(rank, sizes)
             return machine.sim.now
 
@@ -249,3 +257,158 @@ class TestCollectiveIO:
 
         results = run_ranks(machine, comm, prog)
         assert max(results) - min(results) < 1e-6
+
+
+# ---------------------------------------------------------------------- #
+# Oracle: the dense per-rank formulas the O(P) code replaced
+# ---------------------------------------------------------------------- #
+def dense_exchange(comm, dense, rank):
+    """[egress, ingress, messages] of ``rank`` by scanning every rank's
+    dense send-counts list (``dense[src][dst]``)."""
+    my_node = comm.node_of(rank)
+    egress = sum(
+        volume for dst, volume in enumerate(dense[rank])
+        if volume > 0 and comm.node_of(dst) is not my_node)
+    ingress = sum(
+        dense[src][rank] for src in range(comm.size)
+        if dense[src][rank] > 0 and comm.node_of(src) is not my_node)
+    msg_count = sum(1 for volume in dense[rank] if volume > 0)
+    return [egress, ingress, msg_count]
+
+
+def scanned_aggregator_of(aggregators, size, rank):
+    return aggregators[rank * len(aggregators) // size]
+
+
+def scanned_layout(aggregators, size, volumes, base_offset):
+    """Aggregator -> (offset, region) and per-rank direct offsets, by
+    scanning every rank's aggregator."""
+    regions = {}
+    for agg in aggregators:
+        my_ranks = [r for r in range(size)
+                    if scanned_aggregator_of(aggregators, size, r) == agg]
+        region = int(sum(volumes[r] for r in my_ranks))
+        prefix = int(sum(volumes[r] for r in range(size)
+                         if scanned_aggregator_of(aggregators, size, r)
+                         < agg))
+        regions[agg] = (base_offset + prefix, region)
+    offsets = [base_offset + int(sum(volumes[:rank]))
+               for rank in range(size)]
+    return regions, offsets
+
+
+def random_comm(rng):
+    """A communicator over a random subset of a machine's cores, in
+    random order: nodes interleave and carry uneven rank counts."""
+    nodes, cores = rng.randint(1, 5), rng.randint(1, 6)
+    machine, _ = make_comm(nodes=nodes, cores=cores)
+    picked = rng.sample(machine.all_cores(),
+                        rng.randint(1, nodes * cores))
+    return Communicator(machine, picked)
+
+
+def random_volume(rng):
+    kind = rng.random()
+    if kind < 0.25:
+        return 0.0
+    if kind < 0.5:
+        return rng.randint(1, 8 * MiB)
+    return rng.uniform(0.0, 8.0 * MiB)
+
+
+class TestExchangeOracle:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_sparse_exchange_matches_dense_scan(self, seed):
+        rng = random.Random(seed)
+        comm = random_comm(rng)
+        size = comm.size
+        sparse = {}
+        for src in range(size):
+            # Several destinations, same-node ones and zero volumes
+            # included; a rank may also "send" to itself.
+            dsts = rng.sample(range(size), rng.randint(0, size))
+            sparse[src] = {dst: random_volume(rng) for dst in dsts}
+        dense = [[sparse[src].get(dst, 0.0) for dst in range(size)]
+                 for src in range(size)]
+        table = comm._exchange(sparse)
+        for rank in range(size):
+            assert table[rank] == dense_exchange(comm, dense, rank)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_phase_layout_matches_aggregator_scan(self, seed):
+        rng = random.Random(1000 + seed)
+        comm = random_comm(rng)
+        size = comm.size
+        aggregators = default_aggregators(comm)
+        cfile = CollectiveFile(comm, None, "f", aggregators, {})
+        base = 0
+        for phase in range(2):
+            volumes = [random_volume(rng) for _ in range(size)]
+            layout = cfile._layout(phase, volumes)
+            assert cfile.phase_totals[phase] == int(sum(volumes))
+            regions, offsets = scanned_layout(aggregators, size, volumes,
+                                              base)
+            assert layout.regions == regions  # two-phase mode
+            assert layout.offsets == offsets  # direct mode
+            for rank in range(size):
+                assert cfile.aggregator_of(rank) == \
+                    scanned_aggregator_of(aggregators, size, rank)
+            base += int(sum(volumes))
+
+    def test_uneven_ranks_per_aggregator(self):
+        machine, _ = make_comm(nodes=3, cores=4)
+        cores = machine.all_cores()
+        # 4 + 1 + 2 ranks: the r*A//P assignment does not follow nodes.
+        comm = Communicator(machine, cores[:4] + cores[4:5] + cores[8:10])
+        aggregators = default_aggregators(comm)
+        assert aggregators == [0, 4, 5]
+        cfile = CollectiveFile(comm, None, "f", aggregators, {})
+        volumes = [1.5, 2, 0.0, 3.25, 7, 11.0, 13]
+        regions, offsets = scanned_layout(aggregators, comm.size, volumes, 0)
+        layout = cfile._layout(0, volumes)
+        assert layout.regions == regions
+        assert layout.offsets == offsets
+
+    def test_allgather_result_is_shared(self):
+        machine, comm = make_comm(nodes=1, cores=3)
+
+        def prog(rank):
+            return (yield from comm.allgather(rank, rank))
+
+        results = run_ranks(machine, comm, prog)
+        assert results[0] == [0, 1, 2]
+        assert all(result is results[0] for result in results)
+
+
+class TestCollectiveCost:
+    """Per-phase host work stays O(P): no per-rank rescans."""
+
+    def test_lookups_per_open_and_per_phase(self, monkeypatch):
+        calls = {"default_aggregators": 0, "aggregator_of": 0}
+        real_default = mpiio.default_aggregators
+        real_lookup = CollectiveFile.aggregator_of
+
+        def counted_default(comm):
+            calls["default_aggregators"] += 1
+            return real_default(comm)
+
+        def counted_lookup(self, rank):
+            calls["aggregator_of"] += 1
+            return real_lookup(self, rank)
+
+        monkeypatch.setattr(mpiio, "default_aggregators", counted_default)
+        monkeypatch.setattr(CollectiveFile, "aggregator_of", counted_lookup)
+        machine, comm = make_comm(nodes=3, cores=4)
+        fs = TestCollectiveIO.quiet_fs(machine)
+        phases = 2
+
+        def prog(rank):
+            cfile = yield from collective_open(comm, rank, fs, "out.h5")
+            for _ in range(phases):
+                yield from collective_write(cfile, rank, 1 * MiB)
+            yield from collective_close(cfile, rank)
+
+        run_ranks(machine, comm, prog)
+        assert fs.bytes_written == phases * comm.size * 1 * MiB
+        assert calls["default_aggregators"] == 1
+        assert calls["aggregator_of"] == phases * comm.size
