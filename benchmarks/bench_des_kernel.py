@@ -7,11 +7,11 @@ Five scenarios exercise the simulator's hot paths:
   capacities) — dominated by ``FlowNetwork._maxmin_rates``;
 - ``component_storm``: a weak-scaling storm of 256 *resource-disjoint*
   nodes (private NIC + private staggered target, several sequential
-  write rounds per writer) run under both ``REPRO_SOLVER`` modes — the
-  scenario the component-partitioned solver exists for: one node's
-  completion must re-solve one node, not 256. The bench asserts the two
-  solvers produce bit-identical invariants and that the component
-  solver is at least 2x faster;
+  write rounds per writer) run under both solvers (the ``solver=``
+  argument) — the scenario the component-partitioned solver exists
+  for: one node's completion must re-solve one node, not 256. The
+  bench asserts the two solvers produce bit-identical invariants and
+  that the component solver is at least 2x faster;
 - ``mega_storm``: a 100k-flow barrier storm whose contention graph is
   *fused into one component* by a shared (non-binding) fabric link, so
   each of the 192 staggered completion batches re-solves every

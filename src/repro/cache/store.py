@@ -25,8 +25,8 @@ directory on demand and replaced atomically (a lost update under a
 write race costs a stat, not a result).
 
 Eviction is LRU by file mtime (hits ``os.utime`` their entry), bounded
-by ``max_bytes`` (env ``REPRO_CACHE_MAX_BYTES``); the newest entries
-always survive, so a sweep that just ran stays warm.
+by ``max_bytes`` (env ``REPRO_CACHE_MAX_BYTES``, default 2 GiB); the
+newest entries always survive, so a sweep that just ran stays warm.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro import knobs
 from repro.cache.keys import (
     UncacheableArgument,
     model_fingerprint,
@@ -53,9 +54,6 @@ __all__ = ["CacheEntryInfo", "CacheStats", "ResultCache", "cache_from_env",
 _MAGIC = b"RPC1"
 _DIGEST_SIZE = 32
 _HEADER_SIZE = len(_MAGIC) + _DIGEST_SIZE
-
-#: Default size bound for the eviction pass: 2 GiB.
-_DEFAULT_MAX_BYTES = 2 << 30
 
 _STAT_KEYS = ("hits", "misses", "bypasses", "writes", "corrupt", "evicted")
 
@@ -112,8 +110,7 @@ class ResultCache:
         self.fingerprint = (model_fingerprint() if fingerprint is None
                             else fingerprint)
         if max_bytes is None:
-            raw = os.environ.get("REPRO_CACHE_MAX_BYTES", "").strip()
-            max_bytes = int(raw) if raw else _DEFAULT_MAX_BYTES
+            max_bytes = knobs.get("cache-max-bytes")
         self.max_bytes = int(max_bytes)
         self.context = context
         self.stats = CacheStats()
@@ -463,13 +460,9 @@ class ResultCache:
 # ---------------------------------------------------------------------- #
 # environment wiring
 # ---------------------------------------------------------------------- #
-def _truthy(raw: str) -> bool:
-    return raw.strip().lower() in ("1", "true", "yes", "on")
-
-
 def default_cache_dir() -> str:
     """``REPRO_CACHE_DIR``, else ``$XDG_CACHE_HOME/repro/sweeps``."""
-    configured = os.environ.get("REPRO_CACHE_DIR", "").strip()
+    configured = knobs.get("cache-dir")
     if configured:
         return configured
     xdg = os.environ.get("XDG_CACHE_HOME", "").strip()
@@ -479,7 +472,7 @@ def default_cache_dir() -> str:
 
 def cache_enabled() -> bool:
     """True when ``REPRO_CACHE`` requests caching (1/true/yes/on)."""
-    return _truthy(os.environ.get("REPRO_CACHE", ""))
+    return knobs.get("cache")
 
 
 def cache_from_env(context: Any = None) -> Optional[ResultCache]:

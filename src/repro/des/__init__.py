@@ -11,10 +11,10 @@ needs of the cluster/file-system models in this package:
 - :mod:`~repro.des.resources` — FIFO servers, stores and priority resources;
 - :mod:`~repro.des.bandwidth` — a vectorised max-min fair-share flow model
   used for every NIC, link and storage target in the cluster models;
-- :mod:`~repro.des.sched` — pluggable event queues (calendar queue and
-  binary heap, ``REPRO_SCHEDULER``);
-- :mod:`~repro.des.kernels` — the optional compiled water-filling kernel
-  (``REPRO_KERNEL``);
+- :mod:`~repro.des.sched` — event queues (the calendar queue, and the
+  binary heap as its test oracle);
+- :mod:`~repro.des.kernels` — the compiled water-filling kernel, used
+  whenever a C compiler can build it;
 - :mod:`~repro.des.rng` — named, deterministic random streams;
 - :mod:`~repro.des.monitor` — counters and time series for instrumentation.
 """

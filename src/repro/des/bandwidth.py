@@ -29,7 +29,7 @@ O(everything):
   actually touched — while every clean component keeps its rates. Exact
   max-min decomposes over resource-disjoint components, so at
   ``fairness_slack=0`` the result is bit-identical to solving the whole
-  network (``REPRO_SOLVER=global`` forces that path for debugging). The
+  network (``FlowNetwork(solver="global")``, the test oracle). The
   cheap O(active) vectorised bookkeeping — advancing progress, detecting
   completions, arming the next-completion tick — deliberately stays
   global: per-component next-completion targets are merged with a single
@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -91,8 +90,8 @@ _FAST_PATH_HEADROOM = 1.0 - 1e-9
 
 #: Solve only the dirty connected components of the contention graph.
 SOLVER_COMPONENT = "component"
-#: Re-solve the whole network on every structural change (debug escape
-#: hatch; bit-identical to the component solver at ``fairness_slack=0``).
+#: Re-solve the whole network on every structural change (test oracle;
+#: bit-identical to the component solver at ``fairness_slack=0``).
 SOLVER_GLOBAL = "global"
 
 #: Component id of flows that touch no capacity (bounded by their rate
@@ -102,13 +101,14 @@ _CAPLESS_ROOT = -1
 
 
 def _resolve_solver(solver: Optional[str]) -> str:
-    """Explicit argument beats ``REPRO_SOLVER`` beats the default."""
+    """The solver to run: ``component`` unless a test asks for the
+    ``global`` oracle by argument."""
     if solver is None:
-        solver = os.environ.get("REPRO_SOLVER", "").strip() or SOLVER_COMPONENT
+        return SOLVER_COMPONENT
     solver = solver.strip().lower()
     if solver not in (SOLVER_COMPONENT, SOLVER_GLOBAL):
         raise SimulationError(
-            f"unknown solver {solver!r} (REPRO_SOLVER); expected "
+            f"unknown solver {solver!r}; expected "
             f"{SOLVER_COMPONENT!r} or {SOLVER_GLOBAL!r}")
     return solver
 
@@ -187,13 +187,13 @@ class FlowNetwork:
     error. The default is exact (0.0); cluster-scale models opt in.
 
     ``solver`` picks the share-recomputation strategy: ``"component"``
-    (default, or via ``REPRO_SOLVER``) re-solves only the connected
-    components of the resource-contention graph touched since the last
-    solve; ``"global"`` re-solves the whole network every time. At
-    ``fairness_slack=0`` the two are bit-identical; with a positive
-    fairness slack the component solver batches freeze rounds per
-    component instead of across the whole network, a slightly different
-    (but equally bounded) approximation.
+    (the default) re-solves only the connected components of the
+    resource-contention graph touched since the last solve;
+    ``"global"`` (the test oracle) re-solves the whole network every
+    time. At ``fairness_slack=0`` the two are bit-identical; with a
+    positive fairness slack the component solver batches freeze rounds
+    per component instead of across the whole network, a slightly
+    different (but equally bounded) approximation.
     """
 
     def __init__(self, sim: Simulator, completion_slack: float = 0.0,
@@ -214,9 +214,10 @@ class FlowNetwork:
         #: per-target loads) into a handful of vectorised rounds.
         self.fairness_slack = float(fairness_slack)
         self.solver = _resolve_solver(solver)
-        #: Water-filling implementation: ``python`` (numpy, always
-        #: available) or ``compiled`` (see :mod:`repro.des.kernels`);
-        #: bit-identical at any slack, so this is pure speed.
+        #: Water-filling implementation: ``compiled`` whenever the C
+        #: kernel builds, else ``python`` (numpy; see
+        #: :mod:`repro.des.kernels`); bit-identical at any slack, so
+        #: this is pure speed.
         self.kernel = resolve_kernel(kernel)
         self._kernel_impl = (compiled_kernel()
                              if self.kernel == KERNEL_COMPILED else None)
@@ -683,7 +684,7 @@ class FlowNetwork:
         clean component lazily (one coarse step at its own next event)
         accumulates different floating-point rounding than the global
         solver's per-event steps, which would break bit-identity between
-        ``REPRO_SOLVER=component`` and ``REPRO_SOLVER=global``.
+        the ``component`` and ``global`` solvers.
         """
         now = self.sim.now
         dt = now - self._last_update

@@ -4,9 +4,9 @@ The kernel is deliberately small: a priority queue of ``(time, priority,
 seq)`` keys mapped to :class:`Event` objects (or bare callables from the
 slim-callback API). Everything else (processes, resources, flows) is
 built on top of events and callbacks. The queue itself is pluggable —
-see :mod:`repro.des.sched` for the calendar-queue default and the
-binary-heap fallback, selected with ``REPRO_SCHEDULER`` or the
-``scheduler=`` constructor argument; all schedulers pop in the same
+see :mod:`repro.des.sched` for the calendar queue the engine runs and
+the binary heap the equivalence suites compare it with (the
+``scheduler=`` constructor argument); all schedulers pop in the same
 ``(time, priority, seq)`` total order, so the choice never changes
 simulation results.
 """

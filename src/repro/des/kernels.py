@@ -5,18 +5,20 @@ storms reach ~10⁵ concurrent flows: the numpy flow-class solver pays a
 handful of O(F) vectorised passes *per freeze round*, which flattens
 out around 10⁴ flows. This module provides a compiled implementation of
 the same per-component solve — capacity residuals, bottleneck
-selection, grant scatter — selected with ``REPRO_KERNEL``:
+selection, grant scatter. :func:`resolve_kernel` picks one from what
+it can observe, not from a user option:
 
-- ``python`` (default): the numpy implementation in
+- ``compiled`` (whenever it builds): a C translation of the flow-class
+  water-filling rounds, built on first use with the system C compiler
+  into a content-addressed shared library (``~/.cache/repro/kernels``,
+  override with ``REPRO_KERNEL_CACHE``) and loaded through
+  :mod:`ctypes`. Asking for it by argument when the library cannot be
+  built (no C compiler, unwritable cache) raises a
+  :class:`~repro.errors.SimulationError` naming the failure.
+- ``python`` (the fallback, and the equivalence suites' oracle): the
+  numpy implementation in
   :meth:`repro.des.bandwidth.FlowNetwork._maxmin_rates`. Always
   available, no dependencies beyond numpy.
-- ``compiled``: a C translation of the flow-class water-filling rounds,
-  built on first use with the system C compiler into a content-addressed
-  shared library (``~/.cache/repro/kernels``, override with
-  ``REPRO_KERNEL_CACHE``) and loaded through :mod:`ctypes`. When the
-  library cannot be built (no C compiler, unwritable cache), requesting
-  ``compiled`` raises a :class:`~repro.errors.SimulationError` naming
-  the failure — loud beats silently running 10x slower.
 
 Bit-identity contract
 ---------------------
@@ -36,8 +38,8 @@ in the same order (IEEE-754 doubles, round-to-nearest), in particular
 
 ``tests/test_kernel_equivalence.py`` asserts equality with
 ``np.ndarray.tobytes()`` on randomized storms, at ``fairness_slack=0``
-and above, so either kernel can serve any cached sweep — the kernel
-name is still folded into cache keys as a guard.
+and above, so either kernel can serve any cached sweep, and the kernel
+is not part of a cache key.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from repro import knobs
 from repro.errors import SimulationError
 
 __all__ = [
@@ -72,13 +75,14 @@ KERNEL_PYTHON = "python"
 
 
 def resolve_kernel(kernel: Optional[str]) -> str:
-    """Explicit argument beats ``REPRO_KERNEL`` beats the default."""
+    """The kernel to run: ``compiled`` whenever the C kernel loads, else
+    ``python``, unless a test asks for one by argument."""
     if kernel is None:
-        kernel = os.environ.get("REPRO_KERNEL", "").strip() or KERNEL_PYTHON
+        return KERNEL_COMPILED if kernel_status() == "c" else KERNEL_PYTHON
     kernel = kernel.strip().lower()
     if kernel not in (KERNEL_COMPILED, KERNEL_PYTHON):
         raise SimulationError(
-            f"unknown kernel {kernel!r} (REPRO_KERNEL); expected "
+            f"unknown kernel {kernel!r}; expected "
             f"{KERNEL_COMPILED!r} or {KERNEL_PYTHON!r}")
     return kernel
 
@@ -308,7 +312,7 @@ fail:
 
 
 def _kernel_cache_dir() -> str:
-    override = os.environ.get("REPRO_KERNEL_CACHE", "").strip()
+    override = knobs.get("kernel-cache")
     if override:
         return override
     return os.path.join(os.path.expanduser("~"), ".cache", "repro",
@@ -658,9 +662,8 @@ def compiled_kernel() -> MaxminKernel:
     kernel, error = _probe()
     if kernel is None:
         raise SimulationError(
-            f"REPRO_KERNEL=compiled requested but the C kernel could "
-            f"not be built ({error}); set REPRO_KERNEL=python or "
-            f"install a C compiler")
+            f"the compiled kernel was requested but could not be built "
+            f"({error}); install a C compiler or pass kernel='python'")
     return kernel
 
 

@@ -2,11 +2,12 @@
 
 The simulator's pending-event set is a priority queue ordered by
 ``(time, priority, seq)``. Two interchangeable implementations live
-here, selected with ``REPRO_SCHEDULER`` (or the ``scheduler=`` argument
-to :class:`~repro.des.core.Simulator`):
+here; the engine always runs the calendar queue, and the heap stays as
+the equivalence suites' oracle (the ``scheduler=`` argument to
+:class:`~repro.des.core.Simulator`):
 
 - ``heap`` — a binary heap (:mod:`heapq`), the original scheduler.
-  O(log n) per operation, unbeatable for small queues.
+  O(log n) per operation.
 - ``calendar`` (default) — a calendar queue in the classic DES-scheduler
   tradition: a window of time-bucketed sorted lists gives O(1)-ish
   push/pop when events cluster (a write storm schedules thousands of
@@ -21,8 +22,7 @@ bucket, buckets are kept sorted on the full ``(time, priority, seq)``
 key, and bucket time-ranges are disjoint and ascending — so the head of
 the first non-empty bucket *is* the global minimum. Event traces are
 therefore bit-identical across schedulers (asserted by
-``tests/test_kernel_equivalence.py``), and the scheduler choice is
-folded into sweep-cache keys purely as a guard.
+``tests/test_kernel_equivalence.py``).
 
 Scheduling into the past is a bug in the caller, and the calendar
 queue's bucket-0 clamp used to accept it silently (window times before
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from bisect import insort
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -63,14 +62,14 @@ _Entry = Tuple[float, int, int, Any]
 
 
 def resolve_scheduler(scheduler: Optional[str]) -> str:
-    """Explicit argument beats ``REPRO_SCHEDULER`` beats the default."""
+    """The scheduler to run: ``calendar`` unless a test asks for the
+    ``heap`` oracle by argument."""
     if scheduler is None:
-        scheduler = (os.environ.get("REPRO_SCHEDULER", "").strip()
-                     or SCHED_CALENDAR)
+        return SCHED_CALENDAR
     scheduler = scheduler.strip().lower()
     if scheduler not in (SCHED_CALENDAR, SCHED_HEAP):
         raise SimulationError(
-            f"unknown scheduler {scheduler!r} (REPRO_SCHEDULER); expected "
+            f"unknown scheduler {scheduler!r}; expected "
             f"{SCHED_CALENDAR!r} or {SCHED_HEAP!r}")
     return scheduler
 
@@ -354,6 +353,6 @@ _SCHEDULERS = {
 
 
 def make_scheduler(scheduler: Optional[str]):
-    """Resolve the mode (argument > ``REPRO_SCHEDULER`` > default) and
-    build the scheduler instance."""
+    """Resolve the mode (:func:`resolve_scheduler`) and build the
+    scheduler instance."""
     return _SCHEDULERS[resolve_scheduler(scheduler)]()

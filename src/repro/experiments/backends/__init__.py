@@ -17,9 +17,10 @@ the figure CLI's ``--backend`` resolve through) or construct directly.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Optional
 
+from repro import knobs
+from repro.knobs import BACKENDS
 from repro.experiments.backends.base import (
     Backend,
     BackendCounters,
@@ -59,9 +60,6 @@ __all__ = [
     "pool_chunksize",
 ]
 
-#: Names :func:`make_backend` accepts.
-BACKENDS = ("serial", "process", "remote")
-
 
 def default_backend_name() -> str:
     """The backend ``run_sweep`` uses when none is passed.
@@ -70,14 +68,7 @@ def default_backend_name() -> str:
     behaviour — ``run_sweep`` itself still degrades a one-worker
     process backend to serial).
     """
-    name = os.environ.get("REPRO_BACKEND", "").strip().lower()
-    if name:
-        if name not in BACKENDS:
-            raise BackendError(
-                f"REPRO_BACKEND={name!r} is not a backend; pick one of "
-                f"{', '.join(BACKENDS)}")
-        return name
-    return "process"
+    return knobs.get("backend", error=BackendError)
 
 
 def make_backend(name: Optional[str] = None, *,

@@ -23,8 +23,8 @@ The handshake, worker side first::
 
 ``welcome`` carries the coordinator's run-mode environment
 (:data:`MODE_ENV_KEYS`) so a worker launched in a vanilla shell still
-runs tasks under the exact solver/kernel/scheduler modes the
-coordinator's cache keys assume. Then, repeatedly::
+runs tasks in the exact mode the coordinator's cache keys assume.
+Then, repeatedly::
 
     coord   -> {"type": "run", "tasks": [(task_id, SweepTask), ...]}
     worker  -> {"type": "result", "task_id": ..., "ok": True,
@@ -46,6 +46,7 @@ import struct
 from typing import Any, Optional
 
 from repro.errors import ReproError
+from repro.knobs import FORWARDED_ENV
 
 __all__ = [
     "MODE_ENV_KEYS",
@@ -64,18 +65,9 @@ _HEADER = struct.Struct(">4sQ")
 #: than this is a bug, not a workload.
 MAX_FRAME_BYTES = 1 << 30
 
-#: Environment knobs the coordinator forwards in ``welcome`` so both
-#: sides resolve the same run modes (they are read *inside* task
-#: bodies and folded into cache keys). ``REPRO_TRACE`` rides along so a
-#: localhost worker drops trace files where the coordinator expects
-#: them; on a genuinely remote machine they land on that machine.
-MODE_ENV_KEYS = (
-    "REPRO_FAST",
-    "REPRO_SOLVER",
-    "REPRO_KERNEL",
-    "REPRO_SCHEDULER",
-    "REPRO_TRACE",
-)
+#: Environment knobs the coordinator forwards in ``welcome``: the knob
+#: table's ``forwarded`` entries (``REPRO_FAST``, ``REPRO_TRACE``).
+MODE_ENV_KEYS = FORWARDED_ENV
 
 
 class ProtocolError(ReproError):

@@ -15,9 +15,10 @@ Scheduling properties:
   matches and its source-tree fingerprint equals the coordinator's
   (the same :func:`~repro.cache.keys.model_fingerprint` that keys the
   result cache), so a stale checkout can never contribute results that
-  the cache would file under the wrong key. The coordinator's run-mode
-  environment rides along in the ``welcome`` so both sides resolve
-  identical solver/kernel/scheduler modes.
+  the cache would file under the wrong key. The coordinator's
+  forwarded knobs (``REPRO_FAST``, ``REPRO_TRACE``; see
+  :mod:`repro.knobs`) ride along in the ``welcome`` so both sides run
+  in the same mode.
 - **dynamic chunking** — batch sizes shrink as the pending queue
   drains (~2 chunks in flight per worker, capped), so slow tails are
   spread instead of parked on one worker.
@@ -44,13 +45,13 @@ traceback.
 
 from __future__ import annotations
 
-import os
 import socket
 import threading
 from collections import deque
 from queue import Queue
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro import knobs
 from repro.experiments.backends.base import (
     Backend,
     BackendCounters,
@@ -58,7 +59,6 @@ from repro.experiments.backends.base import (
     TaskOutcome,
 )
 from repro.experiments.backends.protocol import (
-    MODE_ENV_KEYS,
     PROTOCOL_VERSION,
     ProtocolError,
     recv_msg,
@@ -451,7 +451,7 @@ class RemoteBackend(Backend):
                  chunk_cap: int = 8) -> None:
         super().__init__()
         if workers is None:
-            workers = os.environ.get("REPRO_WORKERS", "")
+            workers = knobs.get("workers")
         self.addrs = parse_workers(workers)
         if not self.addrs:
             raise RemoteBackendError(
@@ -468,9 +468,6 @@ class RemoteBackend(Backend):
         self.connect_timeout = float(connect_timeout)
         self.chunk_cap = int(chunk_cap)
 
-    def _mode_env(self) -> Dict[str, str]:
-        return {key: os.environ.get(key, "") for key in MODE_ENV_KEYS}
-
     def run_tasks(self, tasks: Sequence[Tuple[int, Any]]
                   ) -> Iterator[TaskOutcome]:
         tasks = list(tasks)
@@ -484,7 +481,7 @@ class RemoteBackend(Backend):
             speculate=self.speculate, chunk_cap=self.chunk_cap)
         links = [
             _WorkerLink(addr, scheduler, payloads, self.fingerprint,
-                        self._mode_env(), self.connect_timeout)
+                        knobs.forwarded_env(), self.connect_timeout)
             for addr in self.addrs]
         for link in links:
             link.start()

@@ -33,11 +33,10 @@ constructed and closed per sweep.
 Caching is off unless requested: pass an explicit
 :class:`~repro.cache.ResultCache`, or set ``REPRO_CACHE=1`` (location
 via ``REPRO_CACHE_DIR``). The normalised run-mode environment
-(:func:`env_mode_context`: ``REPRO_FAST``, solver, kernel, scheduler)
-is folded into every key because drivers read those knobs
-inside the task body; a ``REPRO_TRACE`` run bypasses the cache
-entirely, since serving a hit would silently skip the trace files the
-task is expected to emit.
+(:func:`env_mode_context`: ``REPRO_FAST``) is folded into every key
+because drivers read it inside the task body; a ``REPRO_TRACE`` run
+bypasses the cache entirely, since serving a hit would silently skip
+the trace files the task is expected to emit.
 
 Determinism contract: a task must not read or mutate shared state; all
 randomness must come from seeds carried in its arguments. Every task in
@@ -48,10 +47,10 @@ randomness must come from seeds carried in its arguments. Every task in
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro import knobs
 from repro.cache.store import ResultCache, cache_from_env
 from repro.experiments.backends import (
     Backend,
@@ -105,22 +104,7 @@ def default_parallelism() -> int:
     with a warning naming the bad value — silently ignoring a typo like
     ``REPRO_PARALLEL=eight`` would quietly forfeit the whole speedup.
     """
-    raw = os.environ.get("REPRO_PARALLEL", "").strip()
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        warnings.warn(
-            f"REPRO_PARALLEL={raw!r} is not an integer; running serially",
-            RuntimeWarning, stacklevel=2)
-        return 1
-    if workers < 1:
-        warnings.warn(
-            f"REPRO_PARALLEL={raw!r} must be a positive worker count; "
-            f"running serially", RuntimeWarning, stacklevel=2)
-        return 1
-    return workers
+    return knobs.get("parallel")
 
 
 @dataclass(frozen=True)
@@ -150,22 +134,11 @@ class SweepProgress:
 
 
 def env_mode_context() -> Dict[str, Any]:
-    # The drivers read REPRO_FAST (phase counts), REPRO_SOLVER
-    # (bandwidth-share strategy — at the cluster models' nonzero
-    # fairness_slack the solvers batch freeze rounds differently),
-    # REPRO_KERNEL and REPRO_SCHEDULER *inside* the task body, so two
-    # runs with identical task arguments can differ across these modes;
-    # fold the normalised values into every cache key. (Kernel and
-    # scheduler are bit-identity-tested against their fallbacks, so for
-    # them the fold is a guard, not a correctness requirement.)
-    from repro.des.bandwidth import _resolve_solver
-    from repro.des.kernels import resolve_kernel
-    from repro.des.sched import resolve_scheduler
-
-    fast = os.environ.get("REPRO_FAST", "") not in ("", "0", "false")
-    return {"repro_fast": fast, "repro_solver": _resolve_solver(None),
-            "repro_kernel": resolve_kernel(None),
-            "repro_scheduler": resolve_scheduler(None)}
+    """The knobs a task body reads that change its result (only
+    ``REPRO_FAST``, via phase counts), normalised: two runs with
+    identical task arguments can differ across them, so every cache
+    key folds them in."""
+    return knobs.result_context()
 
 
 def resolve_cache_context(store: ResultCache) -> Any:
@@ -275,7 +248,7 @@ def run_sweep(tasks: Iterable[SweepTask],
         else max(1, int(parallel))
     workers = min(workers, max(1, total))
     store = _resolve_cache(cache)
-    trace_dir = os.environ.get("REPRO_TRACE", "")
+    trace_dir = knobs.get("trace")
     if store is not None and trace_dir:
         store.record_bypass(total)
         store.flush()

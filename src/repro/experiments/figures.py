@@ -25,19 +25,17 @@ changed — editing one platform preset re-runs that preset's points and
 nothing else, since the store keys every result by (spec, model source
 fingerprint). Warm results are bit-identical to cold ones.
 
-``REPRO_SOLVER=global`` forces the reference whole-network bandwidth
-solver inside every sweep point (see
-:mod:`repro.des.bandwidth`) — slower, for debugging the default
-component-partitioned solver; the mode is folded into cache keys.
+Every ``REPRO_*`` knob is defined, validated and documented once, in
+:mod:`repro.knobs`; the engine itself has no knobs.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import knobs
 from repro.analysis.model import breakeven_io_fraction, dedication_benefit
 from repro.analysis.scalability import scalability_factor
 from repro.analysis.stats import jitter_stats
@@ -66,7 +64,7 @@ __all__ = [
 
 
 def fast_mode() -> bool:
-    return os.environ.get("REPRO_FAST", "") not in ("", "0", "false")
+    return knobs.get("fast")
 
 
 def kraken_scales() -> Tuple[int, ...]:
@@ -499,7 +497,7 @@ def fig_fault_degradation(ncores: int = 48, seed: int = 42,
     falls back to :func:`default_fault_schedule`."""
     from repro.faults import FaultSchedule
     if schedule is None:
-        path = os.environ.get("REPRO_FAULTS", "")
+        path = knobs.get("faults")
         schedule = (FaultSchedule.from_json(path) if path
                     else default_fault_schedule())
     report = FigureReport(

@@ -34,6 +34,7 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, Optional
 
+from repro import knobs
 from repro.apps.workload import CM1Workload
 from repro.core.server import DamarisOptions
 from repro.experiments.harness import ExperimentResult, run_experiment
@@ -225,7 +226,7 @@ def run_spec(spec: Dict[str, Any],
         run_kwargs["faults"] = FaultSchedule.from_dict(spec["faults"])
     trace_dir = ""
     if tracer is None:
-        trace_dir = os.environ.get("REPRO_TRACE", "")
+        trace_dir = knobs.get("trace")
         if trace_dir:
             tracer = Tracer()
     if tracer is not None:
@@ -251,5 +252,4 @@ def run_spec(spec: Dict[str, Any],
 
 
 def _default_phases() -> int:
-    fast = os.environ.get("REPRO_FAST", "") not in ("", "0", "false")
-    return 1 if fast else 2
+    return 1 if knobs.get("fast") else 2

@@ -27,25 +27,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any, Dict, Optional
 
+from repro import knobs
 from repro.service.client import ServiceClient
 from repro.service.errors import ServiceError
-
-DEFAULT_PORT = 8642
-
-
-def _default_addr() -> Dict[str, Any]:
-    raw = os.environ.get("REPRO_SERVICE_ADDR", "").strip()
-    if raw and ":" in raw:
-        host, _, port = raw.rpartition(":")
-        try:
-            return {"host": host, "port": int(port)}
-        except ValueError:
-            pass
-    return {"host": "127.0.0.1", "port": DEFAULT_PORT}
 
 
 def _client(args: argparse.Namespace) -> ServiceClient:
@@ -178,15 +165,15 @@ def cmd_health(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    addr = _default_addr()
+    host, port = knobs.get("service-addr")
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.servectl",
         description="Run and talk to the sweep job service.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--host", default=addr["host"])
-        p.add_argument("--port", type=int, default=addr["port"])
+        p.add_argument("--host", default=host)
+        p.add_argument("--port", type=int, default=port)
 
     p = sub.add_parser("serve", help="start a server in the foreground")
     common(p)
@@ -239,7 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        parser = build_parser()
+    except knobs.KnobError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except ServiceError as exc:

@@ -290,7 +290,8 @@ class TestSlimCallbacks:
 
 
 class TestSchedulerSelection:
-    """The pluggable event queue behind the Simulator (REPRO_SCHEDULER)."""
+    """The event queue behind the Simulator: the calendar queue, with
+    the heap reachable only by constructor argument."""
 
     def test_default_is_calendar(self, monkeypatch):
         monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
@@ -304,9 +305,10 @@ class TestSchedulerSelection:
                           CalendarScheduler)
 
     def test_env_fallback_and_argument_wins(self, monkeypatch):
+        # REPRO_SCHEDULER is gone: the environment selects nothing.
         monkeypatch.setenv("REPRO_SCHEDULER", "heap")
-        assert Simulator().scheduler == "heap"
-        assert Simulator(scheduler="calendar").scheduler == "calendar"
+        assert Simulator().scheduler == "calendar"
+        assert Simulator(scheduler="heap").scheduler == "heap"
 
     def test_invalid_scheduler_raises(self):
         with pytest.raises(SimulationError):

@@ -107,6 +107,22 @@ class TestFastMode:
         monkeypatch.setenv("REPRO_FAST", "0")
         assert not fast_mode()
 
+    def test_false_spellings_mean_off(self, monkeypatch):
+        for raw in ("off", "OFF", "no", "False", "false", "0", ""):
+            monkeypatch.setenv("REPRO_FAST", raw)
+            assert not fast_mode(), raw
+            assert kraken_scales()[-1] == 9216
+        for raw in ("on", "Yes", "TRUE", "1"):
+            monkeypatch.setenv("REPRO_FAST", raw)
+            assert fast_mode(), raw
+
+    def test_malformed_value_names_the_variable(self, monkeypatch):
+        from repro.knobs import KnobError
+
+        monkeypatch.setenv("REPRO_FAST", "sometimes")
+        with pytest.raises(KnobError, match="REPRO_FAST='sometimes'"):
+            fast_mode()
+
 
 class TestModelBreakevenDriver:
     def test_rows_and_paper_anchor(self):

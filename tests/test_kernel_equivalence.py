@@ -4,17 +4,21 @@ Two bit-identity contracts are asserted here, on seeded storm workloads
 (not on single solves only — whole simulations, so any divergence
 compounds into visibly different completion times):
 
-- ``REPRO_KERNEL=compiled`` reproduces the numpy water-filling solve
+- the compiled kernel reproduces the numpy water-filling solve
   **bit for bit** (``ndarray.tobytes()`` equality), at
   ``fairness_slack=0`` and at positive slack, under both solvers;
-- ``REPRO_SCHEDULER=calendar`` pops events in exactly the same
+- the calendar scheduler pops events in exactly the same
   ``(time, priority, seq)`` order as the binary heap, so full runs are
   bit-identical.
 
-Plus direct unit tests of the C kernel against its executable Python
-specification (:func:`repro.des.kernels.maxmin_class_solve_py`) and of
-the calendar queue's ordering/resize behaviour, including the
-empty-network and single-flow edge cases the interfaces degenerate on.
+The engine picks the compiled kernel whenever it builds and always runs
+the calendar queue; ``kernel="python"`` and ``scheduler="heap"`` are
+the oracles these suites pass by argument. Also covered: the fallback
+when no C compiler is found, direct unit tests of the C kernel against
+its executable Python specification
+(:func:`repro.des.kernels.maxmin_class_solve_py`) and the calendar
+queue's ordering/resize behaviour, including the empty-network and
+single-flow edge cases the interfaces degenerate on.
 """
 
 import heapq
@@ -185,13 +189,74 @@ def test_python_kernel_reports_no_kernel_solves():
 
 
 def test_resolve_kernel_env_and_validation(monkeypatch):
+    """The default follows what the process can build, never
+    ``REPRO_KERNEL``; an explicit argument is still honoured."""
+    observed = "compiled" if kernel_status() == "c" else "python"
     monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    assert resolve_kernel(None) == "python"
-    monkeypatch.setenv("REPRO_KERNEL", "compiled")
-    assert resolve_kernel(None) == "compiled"
-    assert resolve_kernel("python") == "python"  # argument beats env
+    assert resolve_kernel(None) == observed
+    for value in ("python", "compiled", "fortran"):
+        monkeypatch.setenv("REPRO_KERNEL", value)
+        assert resolve_kernel(None) == observed
+        assert FlowNetwork(Simulator()).kernel == observed
+    assert resolve_kernel("python") == "python"
     with pytest.raises(SimulationError):
         resolve_kernel("fortran")
+
+
+# --------------------------------------------------------------------- #
+# no C compiler: the engine falls back to the numpy kernel
+# --------------------------------------------------------------------- #
+_FALLBACK_SPEC = {"preset": "grid5000", "ncores": 24,
+                  "strategy": {"kind": "damaris"}, "seed": 7,
+                  "write_phases": 1}
+
+
+def _spec_bits(result):
+    return (result.run_time, result.drain_time,
+            tuple(p.duration for p in result.phases),
+            tuple(p.rank_times.tobytes() for p in result.phases))
+
+
+@pytest.fixture
+def no_compiler(monkeypatch, tmp_path):
+    """A process that has not probed the kernel yet, finds no compiler
+    and has an empty kernel build cache."""
+    from repro.des import kernels
+
+    monkeypatch.setattr(kernels, "_PROBE", None)
+    monkeypatch.setattr(kernels, "_find_compiler", lambda: None)
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "kernels"))
+
+
+def test_no_compiler_resolves_python_kernel(no_compiler):
+    assert kernel_status() == "unavailable"
+    assert resolve_kernel(None) == "python"
+    net = FlowNetwork(Simulator())
+    assert net.kernel == "python"
+    assert net.solver_stats["kernel"] == "python"
+
+
+@needs_compiled
+def test_no_compiler_run_spec_bit_identical(request):
+    """A spec run on the fallback kernel is bit-identical to the same
+    spec on the compiled default."""
+    from repro.experiments.specs import run_spec
+
+    compiled = run_spec(dict(_FALLBACK_SPEC))
+    request.getfixturevalue("no_compiler")
+    fallback = run_spec(dict(_FALLBACK_SPEC))
+    assert FlowNetwork(Simulator()).kernel == "python"
+    assert _spec_bits(fallback) == _spec_bits(compiled)
+
+
+def test_no_compiler_error_names_no_env_knob(no_compiler):
+    with pytest.raises(SimulationError) as err:
+        compiled_kernel()
+    message = str(err.value)
+    assert "no C compiler found" in message
+    assert "REPRO_KERNEL" not in message
+    with pytest.raises(SimulationError):
+        FlowNetwork(Simulator(), kernel="compiled")
 
 
 # --------------------------------------------------------------------- #
@@ -315,13 +380,16 @@ def test_simulator_heap_property_is_sorted_snapshot():
 
 
 def test_resolve_scheduler_env_and_validation(monkeypatch):
+    """The calendar queue always runs; ``REPRO_SCHEDULER`` is ignored and
+    the heap is reachable only by argument."""
     monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
     assert resolve_scheduler(None) == "calendar"
     monkeypatch.setenv("REPRO_SCHEDULER", "heap")
-    assert resolve_scheduler(None) == "heap"
+    assert resolve_scheduler(None) == "calendar"
     sim = Simulator()
-    assert sim.scheduler == "heap"
-    assert isinstance(sim._sched, HeapScheduler)
+    assert sim.scheduler == "calendar"
+    assert isinstance(sim._sched, CalendarScheduler)
+    assert isinstance(Simulator(scheduler="heap")._sched, HeapScheduler)
     with pytest.raises(SimulationError):
         Simulator(scheduler="splay-tree")
 

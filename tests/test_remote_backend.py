@@ -3,8 +3,8 @@
 Each test launches real ``sweepworkerctl serve`` subprocesses (ephemeral
 ports published through ``--port-file``) and drives them through
 ``run_sweep``/``RemoteBackend``. Covered here: the bit-identity
-determinism matrix serial ≡ process ≡ remote over solver × scheduler ×
-kernel modes (which also exercises the welcome-frame env passthrough),
+determinism matrix serial ≡ process ≡ remote with and without
+``REPRO_FAST`` (which also exercises the welcome-frame env passthrough),
 worker SIGKILL mid-sweep with zero lost or duplicated results,
 fingerprint-mismatch handshake rejection, straggler re-dispatch with
 loser discard, task-error propagation, warm-cache admission that never
@@ -34,8 +34,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Environment knobs that must not leak from the test runner into
 #: worker subprocesses (the welcome frame is what configures them).
-_MODE_KEYS = ("REPRO_FAST", "REPRO_SOLVER", "REPRO_KERNEL",
-              "REPRO_SCHEDULER", "REPRO_TRACE", "REPRO_CACHE",
+_MODE_KEYS = ("REPRO_FAST", "REPRO_TRACE", "REPRO_CACHE",
               "REPRO_PARALLEL", "REPRO_BACKEND", "REPRO_WORKERS")
 
 
@@ -106,8 +105,11 @@ def _boom(x):
 
 
 def _read_mode_env():
+    from repro.des import FlowNetwork, Simulator
+
     return {"fast": os.environ.get("REPRO_FAST"),
-            "solver": os.environ.get("REPRO_SOLVER")}
+            "kernel_env": os.environ.get("REPRO_KERNEL"),
+            "kernel": FlowNetwork(Simulator()).kernel}
 
 
 def _laggard(sentinel, x):
@@ -144,22 +146,24 @@ def _small_specs():
 
 
 class TestDeterminismMatrix:
-    """serial ≡ process ≡ remote, across run-mode env knobs.
+    """serial ≡ process ≡ remote, with and without ``REPRO_FAST``.
 
     The remote leg doubles as the env-passthrough test: the workers are
-    launched in a *vanilla* environment, so they only produce identical
-    bits if the welcome frame really carries the coordinator's
-    solver/scheduler/kernel modes across the wire.
+    launched in a *vanilla* environment, and the last spec takes its
+    phase count from ``REPRO_FAST``, so they only produce identical
+    bits if the welcome frame really carries the coordinator's mode
+    across the wire. The engine itself has no modes to forward.
     """
 
-    MATRIX = [
-        {"REPRO_SOLVER": "component", "REPRO_SCHEDULER": "calendar"},
-        {"REPRO_SOLVER": "global", "REPRO_SCHEDULER": "heap"},
-    ]
+    MATRIX = [{}, {"REPRO_FAST": "1"}]
 
     def test_matrix_bit_identity(self, fleet, monkeypatch):
-        tasks = [SweepTask(run_spec, (spec,)) for spec in _small_specs()]
+        specs = _small_specs() + [
+            {"preset": "grid5000", "ncores": 24,
+             "strategy": {"kind": "damaris"}, "seed": 5}]
+        tasks = [SweepTask(run_spec, (spec,)) for spec in specs]
         monkeypatch.setenv("REPRO_WORKERS", ",".join(fleet))
+        phases = []
         for modes in self.MATRIX:
             for key in _MODE_KEYS:
                 monkeypatch.delenv(key, raising=False)
@@ -175,8 +179,12 @@ class TestDeterminismMatrix:
                 f"process != serial under {modes}"
             assert [_result_bits(r) for r in remote] == serial_bits, \
                 f"remote != serial under {modes}"
+            phases.append(len(serial[-1].phases))
+        assert phases == [2, 1]
 
     def test_compiled_kernel_cell(self, fleet, monkeypatch):
+        """Workers pick their kernel from what they can build, like the
+        coordinator; ``REPRO_KERNEL`` is neither read nor forwarded."""
         from repro.des.kernels import kernel_status
         if kernel_status() == "unavailable":
             pytest.skip("no compiled kernel backend in this environment")
@@ -185,11 +193,16 @@ class TestDeterminismMatrix:
         for key in _MODE_KEYS:
             monkeypatch.delenv(key, raising=False)
         monkeypatch.setenv("REPRO_WORKERS", ",".join(fleet))
-        monkeypatch.setenv("REPRO_KERNEL", "compiled")
+        monkeypatch.setenv("REPRO_KERNEL", "python")
+        monkeypatch.setenv("REPRO_FAST", "1")
         serial = run_sweep(tasks, cache=False, backend="serial")
         remote = run_sweep(tasks, cache=False, backend="remote")
         assert [_result_bits(r) for r in remote] == \
             [_result_bits(r) for r in serial]
+        modes = run_sweep([SweepTask(_read_mode_env)], cache=False,
+                          backend="remote")
+        assert modes == [{"fast": "1", "kernel_env": None,
+                          "kernel": "compiled"}]
 
 
 class TestCrashRecovery:

@@ -2,19 +2,20 @@
 
 The tentpole property: at ``fairness_slack=0`` exact max-min fairness
 decomposes over connected components of the resource-contention graph,
-so ``REPRO_SOLVER=component`` (solve only the dirty components) must be
+so the ``component`` solver (solve only the dirty components) must be
 *bit-identical* — completion times, bytes moved, rate trajectories — to
-``REPRO_SOLVER=global`` (re-solve everything on every change). The storm
+the ``global`` oracle (re-solve everything on every change). The storm
 tests here throw randomized multi-component workloads with arrivals,
 rate caps, cancellations, capacity changes and component-bridging flows
 at both solvers and diff the full observable outcome.
 
 Also covered: the union-find component registry (merge on arrival, lazy
 split on rebuild), the per-component completion targets feeding the
-tick, solver selection (argument vs ``REPRO_SOLVER``) and mode
-validation, batched same-tick component solves, the solver statistics
-surfaced through the tracer and ``tracereport``, and serial-vs-parallel
-sweep determinism under the component solver.
+tick, solver selection (constructor argument only; the environment
+selects nothing) and mode validation, batched same-tick component
+solves, the solver statistics surfaced through the tracer and
+``tracereport``, and serial-vs-parallel sweep determinism under the
+component solver.
 """
 
 import math
@@ -230,19 +231,24 @@ def test_component_targets_merge_to_tick_target():
 
 
 # ---------------------------------------------------------------------- #
-# solver selection
+# solver selection: the component solver always runs; ``global`` is a
+# constructor-only oracle, and no environment variable selects either
 # ---------------------------------------------------------------------- #
+_REMOVED_ENGINE_ENV = ("REPRO_SOLVER", "REPRO_KERNEL", "REPRO_SCHEDULER")
+
+
 def test_solver_argument_beats_environment(monkeypatch):
     monkeypatch.setenv("REPRO_SOLVER", "global")
     net = FlowNetwork(Simulator(), solver="component")
     assert net.solver == SOLVER_COMPONENT
+    assert FlowNetwork(Simulator(), solver="global").solver == SOLVER_GLOBAL
 
 
 def test_solver_from_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_SOLVER", "global")
-    assert FlowNetwork(Simulator()).solver == SOLVER_GLOBAL
-    monkeypatch.setenv("REPRO_SOLVER", "component")
-    assert FlowNetwork(Simulator()).solver == SOLVER_COMPONENT
+    """``REPRO_SOLVER`` is gone: no value of it changes the solver."""
+    for value in ("global", "component", "sharded", "fast"):
+        monkeypatch.setenv("REPRO_SOLVER", value)
+        assert FlowNetwork(Simulator()).solver == SOLVER_COMPONENT
     monkeypatch.delenv("REPRO_SOLVER")
     assert FlowNetwork(Simulator()).solver == SOLVER_COMPONENT
 
@@ -251,63 +257,63 @@ def test_invalid_solver_rejected(monkeypatch):
     with pytest.raises(SimulationError):
         FlowNetwork(Simulator(), solver="quantum")
     monkeypatch.setenv("REPRO_SOLVER", "fast")
-    with pytest.raises(SimulationError):
-        FlowNetwork(Simulator())
+    assert FlowNetwork(Simulator()).solver == SOLVER_COMPONENT
 
 
 def test_network_validates_every_mode_listing_options(monkeypatch):
-    """Construction must fail loudly on any bad mode value, naming the
-    valid options — for the solver, the kernel and the scheduler alike."""
+    """Construction must fail loudly on any bad mode argument, naming
+    the valid options — for the solver, the kernel and the scheduler
+    alike — while the deleted environment variables are ignored."""
     with pytest.raises(SimulationError) as err:
         FlowNetwork(Simulator(), solver="quantum")
     for option in ("component", "global"):
         assert option in str(err.value)
-    monkeypatch.setenv("REPRO_SOLVER", "fast")
-    with pytest.raises(SimulationError, match="REPRO_SOLVER"):
-        FlowNetwork(Simulator())
-    monkeypatch.delenv("REPRO_SOLVER")
     with pytest.raises(SimulationError) as err:
         FlowNetwork(Simulator(), kernel="gpu")
     for option in ("compiled", "python"):
         assert option in str(err.value)
-    monkeypatch.setenv("REPRO_KERNEL", "rust")
-    with pytest.raises(SimulationError, match="REPRO_KERNEL"):
-        FlowNetwork(Simulator())
-    monkeypatch.delenv("REPRO_KERNEL")
     with pytest.raises(SimulationError) as err:
         Simulator(scheduler="wheel")
     for option in ("calendar", "heap"):
         assert option in str(err.value)
-    monkeypatch.setenv("REPRO_SCHEDULER", "ladder")
-    with pytest.raises(SimulationError, match="REPRO_SCHEDULER"):
-        Simulator()
+    for key, value in zip(_REMOVED_ENGINE_ENV, ("fast", "rust", "ladder")):
+        monkeypatch.setenv(key, value)
+    assert FlowNetwork(Simulator()).solver == SOLVER_COMPONENT
+    assert Simulator().scheduler == "calendar"
 
 
-def test_removed_solver_value_rejected(monkeypatch):
-    """A deleted solver value is rejected: selecting it through the
-    environment fails at construction and names the valid options."""
-    monkeypatch.setenv("REPRO_SOLVER", "sharded")
+def test_removed_solver_value_rejected():
+    """A deleted solver value is rejected by the constructor, naming the
+    valid options."""
     with pytest.raises(SimulationError) as err:
-        FlowNetwork(Simulator())
+        FlowNetwork(Simulator(), solver="sharded")
     for option in ("component", "global"):
         assert repr(option) in str(err.value)
 
 
 def test_machine_solver_passthrough():
+    """``Machine`` no longer takes a solver: it always builds the
+    component solver."""
     from repro.cluster.machine import Machine, MachineSpec
 
     spec = MachineSpec(nodes=1, cores_per_node=2)
-    machine = Machine(spec, solver="global")
-    assert machine.flows.solver == SOLVER_GLOBAL
+    assert Machine(spec).flows.solver == SOLVER_COMPONENT
+    with pytest.raises(TypeError):
+        Machine(spec, solver="global")
 
 
 def test_solver_mode_folded_into_cache_context(monkeypatch):
+    """Only ``REPRO_FAST`` reaches cache keys; the engine is fixed, so
+    the deleted selection variables change nothing."""
     from repro.experiments.executor import env_mode_context
 
-    monkeypatch.delenv("REPRO_SOLVER", raising=False)
-    assert env_mode_context()["repro_solver"] == SOLVER_COMPONENT
-    monkeypatch.setenv("REPRO_SOLVER", "global")
-    assert env_mode_context()["repro_solver"] == SOLVER_GLOBAL
+    monkeypatch.delenv("REPRO_FAST", raising=False)
+    baseline = env_mode_context()
+    assert baseline == {"repro_fast": False}
+    for key, value in zip(_REMOVED_ENGINE_ENV,
+                          ("global", "python", "heap")):
+        monkeypatch.setenv(key, value)
+    assert env_mode_context() == baseline
 
 
 # ---------------------------------------------------------------------- #

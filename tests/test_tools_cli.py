@@ -117,7 +117,8 @@ _CLEAN_RUN = """
 import multiprocessing, os, sys
 from repro.tools import figures
 
-rc = figures.main(["--backend", "process", "--parallel", "2", "table1"])
+rc = figures.main(["--backend", "process", "--parallel", "2"]
+                  + sys.argv[1:])
 me = os.getpid()
 children = 0
 for entry in os.listdir("/proc"):
@@ -136,18 +137,46 @@ sys.exit(rc)
 """
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs")
-def test_figures_process_backend_clean_run():
-    """A process-pool sweep exits 0, writes nothing to stderr (no
-    finalizer or worker tracebacks) and leaves no child processes."""
+def _assert_clean_run(figure, timeout, **env):
     proc = subprocess.run(
-        [sys.executable, "-c", _CLEAN_RUN],
-        env=dict(TOOLS_ENV, REPRO_FAST="1"),
-        capture_output=True, text=True, timeout=300)
+        [sys.executable, "-c", _CLEAN_RUN, figure],
+        env=dict(TOOLS_ENV, REPRO_FAST="1", **env),
+        capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr or proc.stdout
     assert proc.stderr == ""
     active, children = proc.stdout.splitlines()[-1].split()
     assert (int(active), int(children)) == (0, 0), proc.stdout
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs")
+def test_figures_process_backend_clean_run():
+    """A process-pool sweep exits 0, writes nothing to stderr (no
+    finalizer or worker tracebacks) and leaves no child processes."""
+    _assert_clean_run("table1", timeout=300)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs")
+def test_figures_all_process_backend_clean_run(tmp_path):
+    """Every figure through a two-process pool, starting from a cold
+    kernel build cache: pool workers racing to build the compiled kernel
+    on first use must still leave a clean run (exit 0, empty stderr, no
+    children)."""
+    _assert_clean_run("all", timeout=1200,
+                      REPRO_KERNEL_CACHE=str(tmp_path / "kernels"))
+
+
+def test_figures_rejects_unknown_flag():
+    """A deleted engine flag is an unknown option (exit 2, valid flags
+    listed), not a figure name."""
+    proc = run_tool("repro.tools.figures", "--solver", "global", "fig2",
+                    check=False)
+    assert proc.returncode == 2
+    assert "unknown option --solver" in proc.stderr
+    for flag in ("--parallel", "--backend", "--cache", "--faults"):
+        assert flag in proc.stderr
+    assert "unknown figure" not in proc.stderr
+    assert proc.stdout == ""
 
 
 # --------------------------------------------------------------------- #
