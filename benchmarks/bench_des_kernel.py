@@ -7,8 +7,9 @@ Five scenarios exercise the simulator's hot paths:
   capacities) — dominated by ``FlowNetwork._maxmin_rates``;
 - ``component_storm``: a weak-scaling storm of 256 *resource-disjoint*
   nodes (private NIC + private staggered target, several sequential
-  write rounds per writer) run under both solvers (the ``solver=``
-  argument) — the scenario the component-partitioned solver exists
+  write rounds per writer) run under the component solver and its
+  whole-network oracle (``GlobalFlowNetwork`` from ``tests/oracles/``)
+  — the scenario the component-partitioned solver exists
   for: one node's completion must re-solve one node, not 256. The
   bench asserts the two solvers produce bit-identical invariants and
   that the component solver is at least 2x faster;
@@ -16,9 +17,10 @@ Five scenarios exercise the simulator's hot paths:
   *fused into one component* by a shared (non-binding) fabric link, so
   each of the 192 staggered completion batches re-solves every
   remaining flow — the water-filling solve itself dominates. Runs the
-  pure-python kernel once and the compiled kernel under both event
-  schedulers; asserts all three produce bit-identical results and that
-  the compiled kernel is at least 5x faster end-to-end;
+  numpy kernel once and the compiled kernel under both event queues
+  (the numpy kernel and the binary heap injected from
+  ``tests/oracles/``); asserts all three produce bit-identical results
+  and that the compiled kernel is at least 5x faster end-to-end;
 - ``heap_churn``: 2000 staggered short flows through one shared link —
   dominated by event-queue traffic and completion-tick scheduling;
 - ``fig2_sweep``: the full Fig. 2 driver in ``REPRO_FAST`` mode —
@@ -51,6 +53,8 @@ import sys
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+# The repository root, for the test oracles in tests/oracles/.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__),
                              "BENCH_des_kernel.json")
@@ -88,11 +92,9 @@ def _run_component_storm(solver: str, nodes: int, writers: int,
     private (staggered-capacity) target, each writer issues ``rounds``
     sequential transfers, so the contention graph is ``nodes`` disjoint
     components with per-node phase changes at distinct times."""
-    from repro.des import Simulator
-    from repro.des.bandwidth import FlowNetwork
+    from tests.oracles import assert_engine_ran, engine
 
-    sim = Simulator()
-    net = FlowNetwork(sim, solver=solver)
+    sim, net = engine(solver=solver)
     t0 = time.perf_counter()
     for i in range(nodes):
         nic = net.add_capacity(f"nic{i}", 1.6e9)
@@ -110,6 +112,7 @@ def _run_component_storm(solver: str, nodes: int, writers: int,
             writer()
     sim.run()
     elapsed = time.perf_counter() - t0
+    assert_engine_ran(sim, net, None, "calendar", solver)
     invariants = {
         "flows": nodes * writers * rounds,
         "completed": net.completed_flows,
@@ -166,11 +169,9 @@ def _run_mega_storm(kernel: str, scheduler: str, nnodes: int,
 
     import numpy as np
 
-    from repro.des import Simulator
-    from repro.des.bandwidth import FlowNetwork
+    from tests.oracles import assert_engine_ran, engine
 
-    sim = Simulator(scheduler=scheduler)
-    net = FlowNetwork(sim, kernel=kernel)
+    sim, net = engine(kernel, scheduler)
     nics = [net.add_capacity(f"nic{i}", 1.6e9) for i in range(nnodes)]
     tgts = [net.add_capacity(f"ost{j}", 45e6 * (1 + 1e-3 * j))
             for j in range(ntargets)]
@@ -185,6 +186,7 @@ def _run_mega_storm(kernel: str, scheduler: str, nnodes: int,
     t0 = time.perf_counter()
     sim.run()
     elapsed = time.perf_counter() - t0
+    assert_engine_ran(sim, net, kernel, scheduler, "component")
     ends = np.array([flow.end_time for flow in flows])
     invariants = {
         "flows": len(flows),

@@ -11,8 +11,7 @@ needs of the cluster/file-system models in this package:
 - :mod:`~repro.des.resources` — FIFO servers, stores and priority resources;
 - :mod:`~repro.des.bandwidth` — a vectorised max-min fair-share flow model
   used for every NIC, link and storage target in the cluster models;
-- :mod:`~repro.des.sched` — event queues (the calendar queue, and the
-  binary heap as its test oracle);
+- :mod:`~repro.des.sched` — the calendar-queue event scheduler;
 - :mod:`~repro.des.kernels` — the compiled water-filling kernel, used
   whenever a C compiler can build it;
 - :mod:`~repro.des.rng` — named, deterministic random streams;
@@ -22,11 +21,11 @@ needs of the cluster/file-system models in this package:
 from repro.des.core import Event, Simulator, Timeout
 from repro.des.kernels import (KERNEL_COMPILED, KERNEL_PYTHON, kernel_status,
                                resolve_kernel)
-from repro.des.sched import SCHED_CALENDAR, SCHED_HEAP, resolve_scheduler
+from repro.des.sched import SCHED_CALENDAR, resolve_scheduler
 from repro.des.process import AllOf, AnyOf, Interrupt, Process
 from repro.des.resources import PriorityResource, Resource, Store
 from repro.des.bandwidth import (Flow, FlowNetwork, LinkCapacity,
-                                 SOLVER_COMPONENT, SOLVER_GLOBAL)
+                                 SOLVER_COMPONENT)
 from repro.des.rng import RandomStreams
 from repro.des.monitor import Counter, Monitor, TimeSeries
 
@@ -47,9 +46,7 @@ __all__ = [
     "RandomStreams",
     "Resource",
     "SCHED_CALENDAR",
-    "SCHED_HEAP",
     "SOLVER_COMPONENT",
-    "SOLVER_GLOBAL",
     "Simulator",
     "Store",
     "TimeSeries",

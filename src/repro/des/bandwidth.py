@@ -29,7 +29,8 @@ O(everything):
   actually touched — while every clean component keeps its rates. Exact
   max-min decomposes over resource-disjoint components, so at
   ``fairness_slack=0`` the result is bit-identical to solving the whole
-  network (``FlowNetwork(solver="global")``, the test oracle). The
+  network (``GlobalFlowNetwork`` in ``tests/oracles/``, the test
+  oracle, which overrides :meth:`FlowNetwork._solve`). The
   cheap O(active) vectorised bookkeeping — advancing progress, detecting
   completions, arming the next-completion tick — deliberately stays
   global: per-component next-completion targets are merged with a single
@@ -43,7 +44,9 @@ O(everything):
   run over *equivalence classes* instead of flows. A barrier-synchronised
   storm of thousands of identical writers collapses to a handful of
   classes; the per-round cost drops from O(F·K) to O(C·K). Rates are
-  bit-identical to the per-flow solve at ``fairness_slack=0``.
+  bit-identical to a per-flow solve: a class's members see the same
+  shares and the same cap, so they share one candidate and freeze
+  together.
 - **packed active indices** — :meth:`_advance` and
   :meth:`_complete_finished` touch only the packed array of active slots,
   not the whole (grown) slot arrays; the packed ascending array is
@@ -74,8 +77,7 @@ from repro.des.kernels import (KERNEL_COMPILED, KERNEL_PYTHON,
                                resolve_kernel)
 from repro.errors import SimulationError
 
-__all__ = ["LinkCapacity", "Flow", "FlowNetwork",
-           "SOLVER_COMPONENT", "SOLVER_GLOBAL",
+__all__ = ["LinkCapacity", "Flow", "FlowNetwork", "SOLVER_COMPONENT",
            "KERNEL_COMPILED", "KERNEL_PYTHON"]
 
 #: Maximum number of capacities a single flow may traverse.
@@ -88,29 +90,19 @@ _REL_EPS = 1e-9
 #: batch is granted, otherwise a full water-filling solve runs.
 _FAST_PATH_HEADROOM = 1.0 - 1e-9
 
-#: Solve only the dirty connected components of the contention graph.
+#: The solver label: solve only the dirty connected components of the
+#: contention graph.
 SOLVER_COMPONENT = "component"
-#: Re-solve the whole network on every structural change (test oracle;
-#: bit-identical to the component solver at ``fairness_slack=0``).
-SOLVER_GLOBAL = "global"
 
 #: Component id of flows that touch no capacity (bounded by their rate
 #: cap only); they never contend with anything and are never re-solved.
 _CAPLESS_ROOT = -1
 
 
-
-def _resolve_solver(solver: Optional[str]) -> str:
-    """The solver to run: ``component`` unless a test asks for the
-    ``global`` oracle by argument."""
-    if solver is None:
-        return SOLVER_COMPONENT
-    solver = solver.strip().lower()
-    if solver not in (SOLVER_COMPONENT, SOLVER_GLOBAL):
-        raise SimulationError(
-            f"unknown solver {solver!r}; expected "
-            f"{SOLVER_COMPONENT!r} or {SOLVER_GLOBAL!r}")
-    return solver
+def _resolve_solver(_solver: None = None) -> str:
+    """The solver the engine runs: always ``component``. Kept, with its
+    ignored argument, for perfbench's set-up probe."""
+    return SOLVER_COMPONENT
 
 
 class LinkCapacity:
@@ -186,20 +178,17 @@ class FlowNetwork:
     share recomputations into a handful, at a bounded per-flow timing
     error. The default is exact (0.0); cluster-scale models opt in.
 
-    ``solver`` picks the share-recomputation strategy: ``"component"``
-    (the default) re-solves only the connected components of the
-    resource-contention graph touched since the last solve;
-    ``"global"`` (the test oracle) re-solves the whole network every
-    time. At ``fairness_slack=0`` the two are bit-identical; with a
-    positive fairness slack the component solver batches freeze rounds
-    per component instead of across the whole network, a slightly
-    different (but equally bounded) approximation.
+    Share recomputation re-solves only the connected components of the
+    resource-contention graph touched since the last solve
+    (:meth:`_solve`). At ``fairness_slack=0`` that is bit-identical to
+    re-solving the whole network every time; with a positive fairness
+    slack it batches freeze rounds per component instead of across the
+    whole network, a slightly different (but equally bounded)
+    approximation.
     """
 
     def __init__(self, sim: Simulator, completion_slack: float = 0.0,
-                 fairness_slack: float = 0.0,
-                 solver: Optional[str] = None,
-                 kernel: Optional[str] = None) -> None:
+                 fairness_slack: float = 0.0) -> None:
         if completion_slack < 0:
             raise SimulationError(
                 f"completion_slack must be >= 0, got {completion_slack}")
@@ -213,12 +202,13 @@ class FlowNetwork:
         #: that turns hundreds of near-equal bottleneck levels (distinct
         #: per-target loads) into a handful of vectorised rounds.
         self.fairness_slack = float(fairness_slack)
-        self.solver = _resolve_solver(solver)
+        #: Solver label, reported in ``solver_stats`` and the trace.
+        self.solver = SOLVER_COMPONENT
         #: Water-filling implementation: ``compiled`` whenever the C
         #: kernel builds, else ``python`` (numpy; see
         #: :mod:`repro.des.kernels`); bit-identical at any slack, so
         #: this is pure speed.
-        self.kernel = resolve_kernel(kernel)
+        self.kernel = resolve_kernel()
         self._kernel_impl = (compiled_kernel()
                              if self.kernel == KERNEL_COMPILED else None)
         self._capacities = np.zeros(0, dtype=float)
@@ -247,10 +237,6 @@ class FlowNetwork:
         self._class_free: List[int] = []
         self._class_res = np.full((64, MAX_RES_PER_FLOW), -1, dtype=np.int64)
         self._class_cap = np.zeros(64, dtype=float)
-        #: Number of classes with at least one live flow. When this equals
-        #: the active flow count every class is a singleton and the solver
-        #: takes the plain per-flow path (no indirection to pay for).
-        self._live_classes = 0
 
         # Packed active-slot bookkeeping: the set mutates in O(1) per
         # arrival/departure; the packed ascending index array absorbs the
@@ -581,8 +567,6 @@ class FlowNetwork:
             self._class_res[cid, :len(res_indices)] = res_indices
             self._class_cap[cid] = rate_cap
         self._class_refs[cid] += 1
-        if self._class_refs[cid] == 1:
-            self._live_classes += 1
         return cid
 
     def _alloc_slot(self) -> int:
@@ -660,7 +644,6 @@ class FlowNetwork:
         cid = int(self._slot_class[index])
         self._class_refs[cid] -= 1
         if self._class_refs[cid] == 0:
-            self._live_classes -= 1
             del self._class_ids[self._class_keys[cid]]
             self._class_keys[cid] = None
             self._class_free.append(cid)
@@ -682,9 +665,9 @@ class FlowNetwork:
 
         Deliberately global even under the component solver: advancing a
         clean component lazily (one coarse step at its own next event)
-        accumulates different floating-point rounding than the global
-        solver's per-event steps, which would break bit-identity between
-        the ``component`` and ``global`` solvers.
+        accumulates different floating-point rounding than per-event
+        steps, which would break bit-identity between the component
+        solver and the whole-network oracle.
         """
         now = self.sim.now
         dt = now - self._last_update
@@ -701,8 +684,7 @@ class FlowNetwork:
         self._recompute_scheduled = False
         self._stat_recomputes += 1
         self._advance()
-        if self.solver != SOLVER_GLOBAL and self._departed_since_rebuild \
-                > max(64, len(self._active_set)):
+        if self._departed_since_rebuild > max(64, len(self._active_set)):
             self._rebuild_components()
         completed = self._complete_finished()
         arrivals, self._pending_new = self._pending_new, []
@@ -715,30 +697,13 @@ class FlowNetwork:
             self._trace_solve()
             return
 
-        if self.solver == SOLVER_GLOBAL:
-            self._recompute_global(arrivals, structural)
-        else:
-            self._recompute_components(arrivals)
+        self._solve(arrivals, structural)
         self._trace_solve()
 
-    def _recompute_global(self, arrivals: List[int],
-                          structural: bool) -> None:
-        """The forced-global path: one solve over every active flow."""
-        self._comp_dirty.clear()
-        if not structural and arrivals and self._fast_grant(arrivals):
-            self._stat_fast_grants += 1
-            self._arm_from_finish()
-            return
-        idx = self._active_indices()
-        rates, used = self._maxmin_rates(idx)
-        self._rate[idx] = rates
-        self._cap_used = used
-        self._stat_full_solves += 1
-        self._stat_flows_solved += idx.size
-        self._arm_from_finish()
-
-    def _recompute_components(self, arrivals: List[int]) -> None:
-        """Solve only the dirty components; fast-grant clean arrivals."""
+    def _solve(self, arrivals: List[int], structural: bool) -> None:
+        """The solve step of a recompute: solve only the dirty
+        components and fast-grant clean arrivals (``structural`` is for
+        overrides that solve the whole network)."""
         dirty = self._comp_dirty
         if arrivals:
             groups: Dict[int, List[int]] = {}
@@ -945,9 +910,9 @@ class FlowNetwork:
 
         Returns ``(rates, cap_used)`` where ``cap_used`` is the
         full-width per-capacity consumption of the solved flows; the
-        caller assigns it wholesale (global solve) or masked to the
-        component's resources (component solve) — entries of untouched
-        capacities read 0.0 either way.
+        caller assigns it wholesale (whole-network solve) or masked to
+        the components' resources (component solve) — entries of
+        untouched capacities read 0.0 either way.
 
         Each round computes every unfrozen flow's *candidate* rate — the
         minimum of its resources' fair shares and its own cap — and
@@ -962,15 +927,15 @@ class FlowNetwork:
         and freeze together. Resource occupancy counts weight each class
         by its multiplicity, and the capacity consumed by a freeze is
         scattered per flow in ascending slot order, so the result is
-        bit-identical to the per-flow solve at ``fairness_slack=0`` —
-        and, because every per-capacity accumulation involves only that
-        capacity's own component's flows in the same order, a solve over
+        bit-identical to a per-flow solve — and, because every
+        per-capacity accumulation involves only that capacity's own
+        component's flows in the same order, a solve over
         one component is bit-identical to the same flows' rows of a
         solve over the whole network.
 
-        With ``kernel="compiled"`` the whole solve — class uniquing,
-        freeze rounds, per-flow scatter — runs in the compiled kernel
-        (:mod:`repro.des.kernels`), which replicates this method's
+        When the C kernel is loaded the whole solve — class uniquing,
+        freeze rounds, per-flow scatter — runs compiled
+        (:mod:`repro.des.kernels`); it replicates the numpy solve's
         floating-point operation order exactly and is therefore
         bit-identical at *any* slack, for singleton and collapsed
         classes alike.
@@ -981,64 +946,6 @@ class FlowNetwork:
             return kern.solve(self._slot_class[idx], self._class_res,
                               self._class_cap, self._capacities,
                               self.fairness_slack)
-        if self._live_classes == len(self._active_set):
-            # Every live class is a singleton (e.g. all caps distinct):
-            # the class indirection cannot collapse anything, so run the
-            # plain per-flow solve. (The predicate is global, so both
-            # solvers dispatch the same way for any subset.)
-            return self._maxmin_rates_flows(idx)
         return maxmin_class_solve_np(
             self._slot_class[idx], self._class_res, self._class_cap,
             self._capacities, self.fairness_slack)
-
-    def _maxmin_rates_flows(self, idx: np.ndarray
-                            ) -> Tuple[np.ndarray, np.ndarray]:
-        """The per-flow water-filling solve (identical rounds, no class
-        indirection); used when every class is a singleton."""
-        res = self._res[idx]                      # (F, K)
-        valid = res >= 0                          # (F, K)
-        caps = self._flow_cap[idx]                # (F,)
-        nflows = idx.size
-        nres = self._capacities.size
-        rate = np.zeros(nflows, dtype=float)
-        frozen = np.zeros(nflows, dtype=bool)
-        cap_rem = self._capacities.astype(float).copy()
-        res_clipped = np.where(valid, res, 0)
-        batch = 1.0 + self.fairness_slack + 1e-12
-        # Round-invariant buffers, hoisted out of the freeze loop.
-        counts = np.empty(nres, dtype=float)
-        share = np.empty(nres, dtype=float)
-        consumed = np.empty(nres, dtype=float)
-
-        for _ in range(nflows + nres + 1):
-            unfrozen = ~frozen
-            if not unfrozen.any():
-                break
-            members = res[unfrozen][valid[unfrozen]]
-            if members.size == 0:
-                # Remaining flows touch no capacity: bounded by caps only.
-                rate[unfrozen] = caps[unfrozen]
-                break
-            counts.fill(0.0)
-            np.add.at(counts, members, 1.0)
-            used = counts > 0
-            share.fill(np.inf)
-            share[used] = np.maximum(cap_rem[used], 0.0) / counts[used]
-            # Per-flow candidate: min share across its resources, then cap.
-            flow_share = np.where(valid, share[res_clipped], np.inf)
-            candidate = np.minimum(flow_share.min(axis=1), caps)
-            s_star = float(candidate[unfrozen].min())
-
-            freeze = unfrozen & (candidate <= s_star * batch)
-            rate[freeze] = candidate[freeze]
-            frozen[freeze] = True
-            consumed.fill(0.0)
-            flat_rate = np.repeat(candidate[freeze], MAX_RES_PER_FLOW)
-            flat_res = res_clipped[freeze].ravel()
-            flat_valid = valid[freeze].ravel()
-            np.add.at(consumed, flat_res[flat_valid], flat_rate[flat_valid])
-            cap_rem -= consumed
-
-        # Numerical safety: every active flow must make progress.
-        np.maximum(rate, 1e-12, out=rate)
-        return rate, self._capacities - cap_rem

@@ -3,12 +3,10 @@
 The kernel is deliberately small: a priority queue of ``(time, priority,
 seq)`` keys mapped to :class:`Event` objects (or bare callables from the
 slim-callback API). Everything else (processes, resources, flows) is
-built on top of events and callbacks. The queue itself is pluggable —
-see :mod:`repro.des.sched` for the calendar queue the engine runs and
-the binary heap the equivalence suites compare it with (the
-``scheduler=`` constructor argument); all schedulers pop in the same
-``(time, priority, seq)`` total order, so the choice never changes
-simulation results.
+built on top of events and callbacks. The queue is the calendar queue
+of :mod:`repro.des.sched`; it pops in the same ``(time, priority,
+seq)`` total order as a binary heap, which the equivalence suites swap
+in through ``Simulator._sched`` as their oracle (``tests/oracles/``).
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import math
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import SimulationError
-from repro.des.sched import CalendarScheduler, make_scheduler
+from repro.des.sched import CalendarScheduler
 from repro.observe.tracer import NULL_TRACER
 
 __all__ = ["Event", "Simulator", "Timeout", "PRIORITY_FAULT",
@@ -159,12 +157,13 @@ class Simulator:
     [3.0]
     """
 
-    def __init__(self, scheduler: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
-        self._sched = make_scheduler(scheduler)
+        self._sched = CalendarScheduler()
+        self._sched.on_resize = self._on_sched_resize
         self._seq = 0
         self._running = False
-        #: Resolved scheduler mode ("calendar" or "heap").
+        #: The event queue's name (``calendar``).
         self.scheduler = self._sched.name
         #: Instrumentation sink every model layer reaches through the
         #: simulator it already holds. The shared no-op tracer keeps the
@@ -172,8 +171,6 @@ class Simulator:
         #: a real :class:`repro.observe.Tracer` (sim-time clock) to
         #: record — see :meth:`repro.cluster.machine.Machine.attach_tracer`.
         self.tracer = NULL_TRACER
-        if isinstance(self._sched, CalendarScheduler):
-            self._sched.on_resize = self._on_sched_resize
 
     @property
     def now(self) -> float:
@@ -196,7 +193,7 @@ class Simulator:
 
     @property
     def scheduler_stats(self) -> Dict[str, Any]:
-        """The active scheduler's counters (shape depends on the mode)."""
+        """The event queue's counters."""
         return self._sched.stats
 
     def _on_sched_resize(self, stats: Dict[str, Any]) -> None:

@@ -8,17 +8,19 @@ the same per-component solve — capacity residuals, bottleneck
 selection, grant scatter. :func:`resolve_kernel` picks one from what
 it can observe, not from a user option:
 
-- ``compiled`` (whenever it builds): a C translation of the flow-class
+- ``compiled`` (whenever it loads): a C translation of the flow-class
   water-filling rounds, built on first use with the system C compiler
   into a content-addressed shared library (``~/.cache/repro/kernels``,
   override with ``REPRO_KERNEL_CACHE``) and loaded through
-  :mod:`ctypes`. Asking for it by argument when the library cannot be
-  built (no C compiler, unwritable cache) raises a
-  :class:`~repro.errors.SimulationError` naming the failure.
-- ``python`` (the fallback, and the equivalence suites' oracle): the
-  numpy implementation in
-  :meth:`repro.des.bandwidth.FlowNetwork._maxmin_rates`. Always
-  available, no dependencies beyond numpy.
+  :mod:`ctypes`. An already-built library is loaded without looking for
+  a compiler. :func:`compiled_kernel` raises a
+  :class:`~repro.errors.SimulationError` naming the failure when the
+  library can be neither found nor built.
+- ``python`` (the fallback): :func:`maxmin_class_solve_np`, the numpy
+  solve. Always available, no dependencies beyond numpy. The
+  equivalence suites force it onto a network with
+  ``force_numpy_kernel()`` from ``tests/oracles/``, and diff the C
+  kernel against the scalar Python specification kept there.
 
 Bit-identity contract
 ---------------------
@@ -64,7 +66,6 @@ __all__ = [
     "compiled_kernel",
     "kernel_status",
     "maxmin_class_solve_np",
-    "maxmin_class_solve_py",
     "resolve_kernel",
 ]
 
@@ -74,23 +75,17 @@ KERNEL_COMPILED = "compiled"
 KERNEL_PYTHON = "python"
 
 
-def resolve_kernel(kernel: Optional[str]) -> str:
-    """The kernel to run: ``compiled`` whenever the C kernel loads, else
-    ``python``, unless a test asks for one by argument."""
-    if kernel is None:
-        return KERNEL_COMPILED if kernel_status() == "c" else KERNEL_PYTHON
-    kernel = kernel.strip().lower()
-    if kernel not in (KERNEL_COMPILED, KERNEL_PYTHON):
-        raise SimulationError(
-            f"unknown kernel {kernel!r}; expected "
-            f"{KERNEL_COMPILED!r} or {KERNEL_PYTHON!r}")
-    return kernel
+def resolve_kernel(_kernel: None = None) -> str:
+    """The kernel the engine runs: ``compiled`` whenever the C kernel
+    loads, else ``python``. The ignored argument is kept for perfbench's
+    set-up probe."""
+    return KERNEL_COMPILED if kernel_status() == "c" else KERNEL_PYTHON
 
 
 # --------------------------------------------------------------------- #
 # the C backend
 # --------------------------------------------------------------------- #
-# A direct translation of FlowNetwork._maxmin_rates' flow-class rounds.
+# A direct translation of maxmin_class_solve_np's flow-class rounds.
 # Comments reference the numpy statements being reproduced; the order of
 # every floating-point operation matches (see module docstring).
 _C_SOURCE = r"""
@@ -335,17 +330,19 @@ def _build_c_library() -> str:
     The library name embeds a hash of the C source, so editing the
     kernel never reuses a stale binary; concurrent builders (sweep
     worker processes) race benignly through an atomic ``os.replace``.
+    A library already in the cache is used as is: only a miss needs a
+    compiler.
     """
-    cc = _find_compiler()
-    if cc is None:
-        raise SimulationError(
-            "no C compiler found (tried $CC, cc, gcc, clang)")
     digest = hashlib.blake2b(_C_SOURCE.encode("utf-8"),
                              digest_size=10).hexdigest()
     cache_dir = _kernel_cache_dir()
     lib_path = os.path.join(cache_dir, f"maxmin_{digest}.so")
     if os.path.exists(lib_path):
         return lib_path
+    cc = _find_compiler()
+    if cc is None:
+        raise SimulationError(
+            "no C compiler found (tried $CC, cc, gcc, clang)")
     os.makedirs(cache_dir, exist_ok=True)
     fd, src_path = tempfile.mkstemp(suffix=".c", dir=cache_dir)
     tmp_lib = src_path[:-2] + ".so"
@@ -388,7 +385,7 @@ def _load_c_solver() -> Callable:
 
 
 # --------------------------------------------------------------------- #
-# the vectorised numpy solve (the ``python`` kernel, callable standalone)
+# the vectorised numpy solve (the ``python`` kernel)
 # --------------------------------------------------------------------- #
 def maxmin_class_solve_np(flow_class: np.ndarray, class_res: np.ndarray,
                           class_cap: np.ndarray, capacities: np.ndarray,
@@ -396,9 +393,10 @@ def maxmin_class_solve_np(flow_class: np.ndarray, class_res: np.ndarray,
                           ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorised flow-class water-filling over an explicit class table.
 
-    The body of ``FlowNetwork._maxmin_rates``'s class path, written
-    over explicit tables with the same signature as the compiled kernel.
-    Returns ``(rate, cap_used)`` like :meth:`MaxminKernel.solve`.
+    The solve ``FlowNetwork._maxmin_rates`` runs when the C kernel is
+    not loaded, with the same signature as the compiled kernel; it
+    serves singleton and collapsed classes alike. Returns ``(rate,
+    cap_used)`` like :meth:`MaxminKernel.solve`.
     """
     nres = capacities.size
     batch = 1.0 + fairness_slack + 1e-12
@@ -447,7 +445,7 @@ def maxmin_class_solve_np(flow_class: np.ndarray, class_res: np.ndarray,
         crate[freeze] = candidate[freeze]
         cfrozen[freeze] = True
         # Scatter consumption per flow, in ascending slot order, so the
-        # floating-point accumulation matches the per-flow solve.
+        # floating-point accumulation matches a per-flow solve.
         rows = inverse[freeze[inverse]]       # class row per frozen flow
         consumed.fill(0.0)
         flat_rate = np.repeat(candidate[rows], kmax)
@@ -464,159 +462,9 @@ def maxmin_class_solve_np(flow_class: np.ndarray, class_res: np.ndarray,
     return rate, capacities - cap_rem
 
 
-# --------------------------------------------------------------------- #
-# the scalar spec (the C kernel's executable spec)
-# --------------------------------------------------------------------- #
-def maxmin_class_solve_py(flow_class: np.ndarray, class_res: np.ndarray,
-                          class_cap: np.ndarray, capacities: np.ndarray,
-                          fairness_slack: float, rate_out: np.ndarray,
-                          cap_used_out: np.ndarray) -> int:
-    """Scalar-loop water-filling: the C kernel's algorithm in Python.
-
-    Written with arrays and scalars only (no dicts or lists), mirroring
-    the C source loop for loop: it is the executable specification the
-    equivalence tests diff the C kernel against bit-for-bit.
-    """
-    nflows = flow_class.shape[0]
-    nct = class_cap.shape[0]
-    kmax = class_res.shape[1]
-    nres = capacities.shape[0]
-    batch = 1.0 + fairness_slack + 1e-12
-
-    for r in range(nres):
-        cap_used_out[r] = 0.0
-    if nflows == 0:
-        return 0
-
-    cmap = np.full(nct, -1, dtype=np.int64)
-    for f in range(nflows):
-        cmap[flow_class[f]] = -2
-    nclasses = 0
-    for cid in range(nct):
-        if cmap[cid] == -2:
-            cmap[cid] = nclasses
-            nclasses += 1
-
-    cres = np.empty((nclasses, kmax), dtype=np.int64)
-    ccap = np.empty(nclasses, dtype=np.float64)
-    cmult = np.zeros(nclasses, dtype=np.float64)
-    crate = np.zeros(nclasses, dtype=np.float64)
-    cand = np.zeros(nclasses, dtype=np.float64)
-    inverse = np.empty(nflows, dtype=np.int64)
-    cstart = np.zeros(nclasses + 1, dtype=np.int64)
-    for cid in range(nct):
-        c = cmap[cid]
-        if c < 0:
-            continue
-        for k in range(kmax):
-            cres[c, k] = class_res[cid, k]
-        ccap[c] = class_cap[cid]
-    for f in range(nflows):
-        c = cmap[flow_class[f]]
-        inverse[f] = c
-        cmult[c] += 1.0
-        cstart[c + 1] += 1
-    for c in range(nclasses):
-        cstart[c + 1] += cstart[c]
-    cfill = cstart[:nclasses].copy()
-    members = np.empty(nflows, dtype=np.int64)
-    for f in range(nflows):
-        c = inverse[f]
-        members[cfill[c]] = f
-        cfill[c] += 1
-
-    unf = np.arange(nclasses, dtype=np.int64)
-    n_unf = nclasses
-    cap_rem = capacities.astype(np.float64).copy()
-    counts = np.zeros(nres, dtype=np.float64)
-    consumed = np.zeros(nres, dtype=np.float64)
-    newly = np.empty(nclasses, dtype=np.int64)
-    buf = np.empty(nflows, dtype=np.int64)
-    rounds = 0
-
-    for _ in range(nclasses + nres + 1):
-        if n_unf == 0:
-            break
-        have_res = False
-        for r in range(nres):
-            counts[r] = 0.0
-        for ui in range(n_unf):
-            c = unf[ui]
-            for k in range(kmax):
-                r = cres[c, k]
-                if r < 0:
-                    break
-                counts[r] += cmult[c]
-                have_res = True
-        if not have_res:
-            for ui in range(n_unf):
-                c = unf[ui]
-                crate[c] = ccap[c]
-            break
-        s_star = np.inf
-        for ui in range(n_unf):
-            c = unf[ui]
-            cd = np.inf
-            for k in range(kmax):
-                r = cres[c, k]
-                if r < 0:
-                    break
-                rem = cap_rem[r]
-                if rem < 0.0:
-                    rem = 0.0
-                sh = rem / counts[r]
-                if sh < cd:
-                    cd = sh
-            if ccap[c] < cd:
-                cd = ccap[c]
-            cand[c] = cd
-            if cd < s_star:
-                s_star = cd
-        thresh = s_star * batch
-        n_new = 0
-        wi = 0
-        for ui in range(n_unf):
-            c = unf[ui]
-            if cand[c] <= thresh:
-                crate[c] = cand[c]
-                newly[n_new] = c
-                n_new += 1
-            else:
-                unf[wi] = c
-                wi += 1
-        n_unf = wi
-        m = 0
-        for i in range(n_new):
-            c = newly[i]
-            for p in range(cstart[c], cstart[c + 1]):
-                buf[m] = members[p]
-                m += 1
-        frozen_flows = np.sort(buf[:m]) if n_new > 1 else buf[:m]
-        for r in range(nres):
-            consumed[r] = 0.0
-        for i in range(m):
-            c = inverse[frozen_flows[i]]
-            rr = crate[c]
-            for k in range(kmax):
-                r = cres[c, k]
-                if r < 0:
-                    break
-                consumed[r] += rr
-        for r in range(nres):
-            cap_rem[r] -= consumed[r]
-        rounds += 1
-
-    for f in range(nflows):
-        rr = crate[inverse[f]]
-        rate_out[f] = rr if rr > 1e-12 else 1e-12
-    for r in range(nres):
-        cap_used_out[r] = capacities[r] - cap_rem[r]
-    return rounds
-
-
 class MaxminKernel:
     """Handle on the loaded C kernel; ``solve`` mirrors
-    ``FlowNetwork._maxmin_rates``."""
+    :func:`maxmin_class_solve_np`."""
 
     __slots__ = ("_fn",)
 
@@ -662,8 +510,8 @@ def compiled_kernel() -> MaxminKernel:
     kernel, error = _probe()
     if kernel is None:
         raise SimulationError(
-            f"the compiled kernel was requested but could not be built "
-            f"({error}); install a C compiler or pass kernel='python'")
+            f"the compiled kernel could not be built ({error}); "
+            f"install a C compiler")
     return kernel
 
 

@@ -1,38 +1,33 @@
-"""Event schedulers for :class:`repro.des.core.Simulator`.
+"""The event scheduler of :class:`repro.des.core.Simulator`.
 
 The simulator's pending-event set is a priority queue ordered by
-``(time, priority, seq)``. Two interchangeable implementations live
-here; the engine always runs the calendar queue, and the heap stays as
-the equivalence suites' oracle (the ``scheduler=`` argument to
-:class:`~repro.des.core.Simulator`):
+``(time, priority, seq)``. The engine runs a calendar queue in the
+classic DES-scheduler tradition: a window of time-bucketed sorted lists
+gives O(1)-ish push/pop when events cluster (a write storm schedules
+thousands of completion ticks into a narrow time band), while a *far
+heap* absorbs everything beyond the current window — the heap fallback
+for sparse or irregular regimes. When the window drains, it snaps
+forward to the earliest far event and resizes its bucket count/width
+from the pending population.
 
-- ``heap`` — a binary heap (:mod:`heapq`), the original scheduler.
-  O(log n) per operation.
-- ``calendar`` (default) — a calendar queue in the classic DES-scheduler
-  tradition: a window of time-bucketed sorted lists gives O(1)-ish
-  push/pop when events cluster (a write storm schedules thousands of
-  completion ticks into a narrow time band), while a *far heap* absorbs
-  everything beyond the current window — the heap fallback for sparse
-  or irregular regimes. When the window drains, it snaps forward to the
-  earliest far event and resizes its bucket count/width from the
-  pending population.
+It pops in exactly the total order of a plain binary heap: equal times
+land in the same bucket, buckets are kept sorted on the full ``(time,
+priority, seq)`` key, and bucket time-ranges are disjoint and ascending
+— so the head of the first non-empty bucket *is* the global minimum.
+The binary heap lives on as a test oracle
+(``tests/oracles/heap.py``, swapped into a fresh simulator by
+``heap_simulator()``); ``tests/test_kernel_equivalence.py`` asserts
+that whole runs are bit-identical under both queues.
 
-Both pop in exactly the same total order: equal times land in the same
-bucket, buckets are kept sorted on the full ``(time, priority, seq)``
-key, and bucket time-ranges are disjoint and ascending — so the head of
-the first non-empty bucket *is* the global minimum. Event traces are
-therefore bit-identical across schedulers (asserted by
-``tests/test_kernel_equivalence.py``).
-
-Scheduling into the past is a bug in the caller, and the calendar
-queue's bucket-0 clamp used to accept it silently (window times before
-``win_start`` all collapse into the first bucket). Both schedulers now
-keep a *pop watermark* — the time of the last popped entry — and
-``push`` raises :class:`~repro.errors.SimulationError` for any time
-strictly below it, mirroring the simulator's own past-scheduling guard
-on ``call_at``/``schedule_callback_at``. Pushing *at* the watermark
-stays legal: triggering an urgent event at the current timestamp is
-ordinary DES usage.
+Scheduling into the past is a bug in the caller, and the bucket-0 clamp
+used to accept it silently (window times before ``win_start`` all
+collapse into the first bucket). The queue keeps a *pop watermark* —
+the time of the last popped entry — and ``push`` raises
+:class:`~repro.errors.SimulationError` for any time strictly below it,
+mirroring the simulator's own past-scheduling guard on
+``call_at``/``schedule_callback_at``. Pushing *at* the watermark stays
+legal: triggering an urgent event at the current timestamp is ordinary
+DES usage.
 """
 
 from __future__ import annotations
@@ -46,32 +41,20 @@ from repro.errors import SimulationError
 
 __all__ = [
     "SCHED_CALENDAR",
-    "SCHED_HEAP",
     "CalendarScheduler",
-    "HeapScheduler",
-    "make_scheduler",
     "resolve_scheduler",
 ]
 
 #: Calendar-queue scheduler (bucketed window + far-heap fallback).
 SCHED_CALENDAR = "calendar"
-#: Binary-heap scheduler (the original implementation).
-SCHED_HEAP = "heap"
 
 _Entry = Tuple[float, int, int, Any]
 
 
-def resolve_scheduler(scheduler: Optional[str]) -> str:
-    """The scheduler to run: ``calendar`` unless a test asks for the
-    ``heap`` oracle by argument."""
-    if scheduler is None:
-        return SCHED_CALENDAR
-    scheduler = scheduler.strip().lower()
-    if scheduler not in (SCHED_CALENDAR, SCHED_HEAP):
-        raise SimulationError(
-            f"unknown scheduler {scheduler!r}; expected "
-            f"{SCHED_CALENDAR!r} or {SCHED_HEAP!r}")
-    return scheduler
+def resolve_scheduler(_scheduler: None = None) -> str:
+    """The scheduler the engine runs: always ``calendar``. Kept, with its
+    ignored argument, for perfbench's set-up probe."""
+    return SCHED_CALENDAR
 
 
 def _past_push_error(time: float, watermark: float) -> SimulationError:
@@ -79,46 +62,6 @@ def _past_push_error(time: float, watermark: float) -> SimulationError:
     return SimulationError(
         f"cannot schedule into the past (time={time}, last popped "
         f"time={watermark})")
-
-
-class HeapScheduler:
-    """The classic binary heap of ``(time, priority, seq, entry)``."""
-
-    name = SCHED_HEAP
-
-    __slots__ = ("_heap", "_watermark")
-
-    def __init__(self) -> None:
-        self._heap: List[_Entry] = []
-        self._watermark = -math.inf
-
-    def push(self, time: float, priority: int, seq: int,
-             entry: Any) -> None:
-        # Inline comparison: this is the hot loop, a call per push costs
-        # measurable wall time (the bench gates it).
-        if time < self._watermark:
-            raise _past_push_error(time, self._watermark)
-        heapq.heappush(self._heap, (time, priority, seq, entry))
-
-    def pop(self) -> _Entry:
-        item = heapq.heappop(self._heap)
-        self._watermark = item[0]
-        return item
-
-    def peek_time(self) -> float:
-        heap = self._heap
-        return heap[0][0] if heap else math.inf
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def entries(self) -> List[_Entry]:
-        """Pending entries in pop order (a sorted snapshot)."""
-        return sorted(self._heap, key=lambda item: item[:3])
-
-    @property
-    def stats(self) -> Dict[str, Any]:
-        return {"scheduler": self.name, "pending": len(self._heap)}
 
 
 class CalendarScheduler:
@@ -345,14 +288,3 @@ class CalendarScheduler:
             "max_pending": self.max_pending,
         }
 
-
-_SCHEDULERS = {
-    SCHED_HEAP: HeapScheduler,
-    SCHED_CALENDAR: CalendarScheduler,
-}
-
-
-def make_scheduler(scheduler: Optional[str]):
-    """Resolve the mode (:func:`resolve_scheduler`) and build the
-    scheduler instance."""
-    return _SCHEDULERS[resolve_scheduler(scheduler)]()

@@ -4,8 +4,9 @@ import pytest
 
 from repro.des import Simulator
 from repro.des.core import Event, Timeout, PRIORITY_URGENT, PRIORITY_LATE
-from repro.des.sched import CalendarScheduler, HeapScheduler
+from repro.des.sched import CalendarScheduler
 from repro.errors import SimulationError
+from tests.oracles import HeapScheduler, assert_heap_ran, heap_simulator
 
 
 class TestSimulatorClock:
@@ -290,8 +291,9 @@ class TestSlimCallbacks:
 
 
 class TestSchedulerSelection:
-    """The event queue behind the Simulator: the calendar queue, with
-    the heap reachable only by constructor argument."""
+    """The event queue behind the Simulator: always the calendar queue;
+    ``Simulator`` takes no scheduler argument, and the heap oracle is
+    injected by ``heap_simulator()``."""
 
     def test_default_is_calendar(self, monkeypatch):
         monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
@@ -300,22 +302,27 @@ class TestSchedulerSelection:
         assert isinstance(sim._sched, CalendarScheduler)
 
     def test_explicit_argument(self):
-        assert isinstance(Simulator(scheduler="heap")._sched, HeapScheduler)
-        assert isinstance(Simulator(scheduler="calendar")._sched,
-                          CalendarScheduler)
+        for value in ("heap", "calendar"):
+            with pytest.raises(TypeError):
+                Simulator(scheduler=value)
+        sim = heap_simulator()
+        assert isinstance(sim._sched, HeapScheduler)
+        assert sim.scheduler == "heap"
 
     def test_env_fallback_and_argument_wins(self, monkeypatch):
-        # REPRO_SCHEDULER is gone: the environment selects nothing.
+        # REPRO_SCHEDULER is gone: the environment selects nothing, and
+        # there is no argument left to win over it.
         monkeypatch.setenv("REPRO_SCHEDULER", "heap")
         assert Simulator().scheduler == "calendar"
-        assert Simulator(scheduler="heap").scheduler == "heap"
+        with pytest.raises(TypeError):
+            Simulator(scheduler="heap")
 
     def test_invalid_scheduler_raises(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(TypeError):
             Simulator(scheduler="fifo")
 
     def test_scheduler_stats_exposed(self):
-        sim = Simulator(scheduler="calendar")
+        sim = Simulator()
         sim.timeout(1.0)
         stats = sim.scheduler_stats
         assert stats["scheduler"] == "calendar"
@@ -325,7 +332,7 @@ class TestSchedulerSelection:
     def test_behaviour_parity(self, scheduler):
         # The full ordering contract — time, then priority, then FIFO —
         # holds identically under both queue implementations.
-        sim = Simulator(scheduler=scheduler)
+        sim = heap_simulator() if scheduler == "heap" else Simulator()
         seen = []
         sim.schedule_callback(2.0, lambda: seen.append("t2"))
         sim.call_later(1.0, lambda: seen.append("late"),
@@ -337,3 +344,5 @@ class TestSchedulerSelection:
         sim.run()
         assert seen == ["urgent", "normal-a", "normal-b", "late", "t2"]
         assert sim.now == 2.0
+        if scheduler == "heap":
+            assert_heap_ran(sim)

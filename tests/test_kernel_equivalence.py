@@ -11,14 +11,16 @@ compounds into visibly different completion times):
   ``(time, priority, seq)`` order as the binary heap, so full runs are
   bit-identical.
 
-The engine picks the compiled kernel whenever it builds and always runs
-the calendar queue; ``kernel="python"`` and ``scheduler="heap"`` are
-the oracles these suites pass by argument. Also covered: the fallback
-when no C compiler is found, direct unit tests of the C kernel against
-its executable Python specification
-(:func:`repro.des.kernels.maxmin_class_solve_py`) and the calendar
-queue's ordering/resize behaviour, including the empty-network and
-single-flow edge cases the interfaces degenerate on.
+The engine picks the compiled kernel whenever it loads and always runs
+the calendar queue; the numpy solve and the binary heap are oracles
+from ``tests/oracles/`` that these suites inject
+(``force_numpy_kernel``, ``heap_simulator``), checking after each run
+that the injection took effect. Also covered: the fallback when no C
+compiler is found (and the warm kernel cache that needs none), direct
+unit tests of the C kernel against its executable Python specification
+(``maxmin_class_solve_py``) and the calendar queue's ordering/resize
+behaviour, including the empty-network and single-flow edge cases the
+interfaces degenerate on.
 """
 
 import heapq
@@ -29,14 +31,18 @@ import numpy as np
 import pytest
 
 from repro.des import FlowNetwork, Simulator
-from repro.des.kernels import (compiled_kernel, kernel_status,
-                               maxmin_class_solve_py, resolve_kernel)
-from repro.des.sched import (CalendarScheduler, HeapScheduler,
-                             make_scheduler, resolve_scheduler)
+from repro.des.kernels import compiled_kernel, kernel_status, resolve_kernel
+from repro.des.sched import CalendarScheduler, resolve_scheduler
 from repro.errors import SimulationError
+from tests.oracles import (HeapScheduler, assert_engine_ran,
+                           assert_global_ran, assert_heap_ran,
+                           assert_numpy_ran, engine, force_numpy_kernel,
+                           heap_simulator, maxmin_class_solve_py)
 
 needs_compiled = pytest.mark.skipif(kernel_status() == "unavailable",
                                     reason="no C compiler")
+
+_QUEUES = {"heap": HeapScheduler, "calendar": CalendarScheduler}
 
 
 # --------------------------------------------------------------------- #
@@ -49,9 +55,7 @@ def run_storm(kernel, scheduler, seed, slack=0.0, nflows=400,
     staggered arrivals — returns per-flow end times and run invariants
     for bit-comparison."""
     rng = random.Random(seed)
-    sim = Simulator(scheduler=scheduler)
-    net = FlowNetwork(sim, fairness_slack=slack, kernel=kernel,
-                      solver=solver)
+    sim, net = engine(kernel, scheduler, solver, fairness_slack=slack)
     nics = [net.add_capacity(f"nic{i}", 1e9 * (1 + 0.01 * i))
             for i in range(12)]
     tgts = [net.add_capacity(f"tgt{j}", 4.5e7 * (1 + 0.003 * j))
@@ -78,6 +82,7 @@ def run_storm(kernel, scheduler, seed, slack=0.0, nflows=400,
         sim.call_later(0.5 + 0.7 * wave,
                        lambda n=nflows // 8: start_batch(n))
     sim.run()
+    assert_engine_ran(sim, net, kernel, scheduler, solver)
     ends = np.array([flow.end_time for flow in flows])
     return {
         "ends": ends.tobytes(),
@@ -129,7 +134,8 @@ def test_compiled_kernel_bit_identical_storms(seed, solver, slack):
 @needs_compiled
 def test_compiled_kernel_empty_network():
     sim = Simulator()
-    net = FlowNetwork(sim, kernel="compiled")
+    net = FlowNetwork(sim)
+    assert net.kernel == "compiled"
     sim.run()
     assert sim.now == 0.0 and net.completed_flows == 0
 
@@ -165,7 +171,7 @@ def test_c_kernel_matches_python_spec(seed):
 @needs_compiled
 def test_kernel_solves_counted():
     sim = Simulator()
-    net = FlowNetwork(sim, kernel="compiled")
+    net = FlowNetwork(sim)
     link = net.add_capacity("link", 100.0)
     net.transfer([link], 100.0)
     net.transfer([link], 100.0)
@@ -179,18 +185,44 @@ def test_kernel_solves_counted():
 
 def test_python_kernel_reports_no_kernel_solves():
     sim = Simulator()
-    net = FlowNetwork(sim, kernel="python")
+    net = force_numpy_kernel(FlowNetwork(sim))
     link = net.add_capacity("link", 100.0)
     net.transfer([link], 100.0)
     sim.run()
     stats = net.solver_stats
     assert stats["kernel"] == "python"
     assert stats["kernel_solves"] == 0
+    assert stats["full_solves"] == 1
+    assert_numpy_ran(net)
+
+
+def test_oracle_checks_reject_the_product_engine():
+    """Each oracle's ``assert_*_ran`` check fails on an engine the oracle
+    was not injected into (or saw only part of), so a swap that silently
+    failed to take effect cannot leave an equivalence suite vacuous."""
+    sim = Simulator()
+    net = FlowNetwork(sim)
+    link = net.add_capacity("link", 100.0)
+    net.transfer([link], 100.0)
+    sim.run()
+    checks = [lambda: assert_heap_ran(sim), lambda: assert_global_ran(net)]
+    if net.kernel == "compiled":
+        checks.append(lambda: assert_numpy_ran(net))
+    for check in checks:
+        with pytest.raises(AssertionError):
+            check()
+    heap_sim = heap_simulator()
+    heap_sim.timeout(1.0)
+    heap_sim.run()
+    assert_heap_ran(heap_sim)
+    heap_sim._seq += 1  # an entry that bypassed the heap
+    with pytest.raises(AssertionError):
+        assert_heap_ran(heap_sim)
 
 
 def test_resolve_kernel_env_and_validation(monkeypatch):
-    """The default follows what the process can build, never
-    ``REPRO_KERNEL``; an explicit argument is still honoured."""
+    """The kernel follows what the process can build, never
+    ``REPRO_KERNEL``, and no constructor argument selects it."""
     observed = "compiled" if kernel_status() == "c" else "python"
     monkeypatch.delenv("REPRO_KERNEL", raising=False)
     assert resolve_kernel(None) == observed
@@ -198,9 +230,9 @@ def test_resolve_kernel_env_and_validation(monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", value)
         assert resolve_kernel(None) == observed
         assert FlowNetwork(Simulator()).kernel == observed
-    assert resolve_kernel("python") == "python"
-    with pytest.raises(SimulationError):
-        resolve_kernel("fortran")
+    for value in ("python", "compiled", "fortran"):
+        with pytest.raises(TypeError):
+            FlowNetwork(Simulator(), kernel=value)
 
 
 # --------------------------------------------------------------------- #
@@ -255,8 +287,23 @@ def test_no_compiler_error_names_no_env_knob(no_compiler):
     message = str(err.value)
     assert "no C compiler found" in message
     assert "REPRO_KERNEL" not in message
-    with pytest.raises(SimulationError):
-        FlowNetwork(Simulator(), kernel="compiled")
+    assert "kernel=" not in message  # no argument selects a kernel
+    assert FlowNetwork(Simulator()).kernel == "python"
+
+
+@needs_compiled
+def test_warm_cache_needs_no_compiler(monkeypatch, tmp_path):
+    """A kernel already built into the cache loads without a compiler:
+    the compiler is looked for only on a cache miss."""
+    from repro.des import kernels
+
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "kernels"))
+    monkeypatch.setattr(kernels, "_PROBE", None)
+    assert kernel_status() == "c"  # cold cache: builds the library
+    monkeypatch.setattr(kernels, "_PROBE", None)
+    monkeypatch.setattr(kernels, "_find_compiler", lambda: None)
+    assert kernel_status() == "c"
+    assert FlowNetwork(Simulator()).kernel == "compiled"
 
 
 # --------------------------------------------------------------------- #
@@ -272,7 +319,7 @@ def test_calendar_scheduler_bit_identical_storms(seed, slack):
 
 
 def test_calendar_scheduler_empty_and_single_event():
-    sim = Simulator(scheduler="calendar")
+    sim = Simulator()
     sim.run()  # empty queue: no-op
     assert sim.now == 0.0
     sim.timeout(1e6)  # lands in the far-heap, needs a window advance
@@ -285,7 +332,7 @@ def test_scheduler_pop_order_randomized(scheduler):
     """Direct queue-level check: pushes with random times/priorities in
     random order pop in exact (time, priority, seq) order."""
     rng = random.Random(42)
-    sched = make_scheduler(scheduler)
+    sched = _QUEUES[scheduler]()
     items = []
     seq = 0
     watermark = 0.0  # pushes must stay at/after the last popped time
@@ -315,7 +362,7 @@ def test_schedule_into_past_raises(scheduler):
     """Regression: the calendar queue used to clamp a push earlier than
     the last popped time into bucket 0 and silently pop it out of order.
     Both schedulers now reject such pushes identically."""
-    sched = make_scheduler(scheduler)
+    sched = _QUEUES[scheduler]()
     sched.push(10.0, 1, 0, "a")
     sched.push(20.0, 1, 1, "b")
     assert sched.pop()[0] == 10.0
@@ -328,7 +375,7 @@ def test_schedule_into_past_raises(scheduler):
 
 @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
 def test_simulator_call_at_past_raises(scheduler):
-    sim = Simulator(scheduler=scheduler)
+    sim = heap_simulator() if scheduler == "heap" else Simulator()
     sim.timeout(10.0)
     sim.run()
     assert sim.now == 10.0
@@ -371,7 +418,7 @@ def test_heap_scheduler_stats():
 
 
 def test_simulator_heap_property_is_sorted_snapshot():
-    sim = Simulator(scheduler="calendar")
+    sim = Simulator()
     sim.call_later(2.0, lambda: None)
     sim.call_later(1.0, lambda: None)
     snapshot = sim._heap
@@ -380,8 +427,9 @@ def test_simulator_heap_property_is_sorted_snapshot():
 
 
 def test_resolve_scheduler_env_and_validation(monkeypatch):
-    """The calendar queue always runs; ``REPRO_SCHEDULER`` is ignored and
-    the heap is reachable only by argument."""
+    """The calendar queue always runs: ``REPRO_SCHEDULER`` is ignored,
+    ``Simulator`` takes no scheduler argument, and the heap is reachable
+    only by injection."""
     monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
     assert resolve_scheduler(None) == "calendar"
     monkeypatch.setenv("REPRO_SCHEDULER", "heap")
@@ -389,9 +437,10 @@ def test_resolve_scheduler_env_and_validation(monkeypatch):
     sim = Simulator()
     assert sim.scheduler == "calendar"
     assert isinstance(sim._sched, CalendarScheduler)
-    assert isinstance(Simulator(scheduler="heap")._sched, HeapScheduler)
-    with pytest.raises(SimulationError):
-        Simulator(scheduler="splay-tree")
+    assert isinstance(heap_simulator()._sched, HeapScheduler)
+    for value in ("heap", "calendar", "splay-tree"):
+        with pytest.raises(TypeError):
+            Simulator(scheduler=value)
 
 
 def test_scheduler_tracer_records_resizes():
@@ -399,7 +448,7 @@ def test_scheduler_tracer_records_resizes():
     (the counter tracereport's ``--by sched`` table aggregates)."""
     from repro.observe.tracer import Tracer
 
-    sim = Simulator(scheduler="calendar")
+    sim = Simulator()
     tracer = Tracer(clock=lambda: sim.now, clock_name="sim")
     sim.tracer = tracer
     for k in range(200):
@@ -414,7 +463,7 @@ def test_scheduler_tracer_records_resizes():
 def test_heap_fallback_regime_far_heap():
     """Sparse, widely-spaced events keep working (and stay ordered)
     through the far-heap fallback."""
-    sim = Simulator(scheduler="calendar")
+    sim = Simulator()
     seen = []
     for t in (1e12, 3.0, 1e6, 0.5, math.inf and 7e7):
         sim.call_at(t, lambda t=t: seen.append(t))

@@ -3,16 +3,18 @@
 ``reference_maxmin`` is a deliberately naive O(F·R) per-round
 implementation of progressive-filling max-min fairness with per-flow
 rate caps — the textbook algorithm, no numpy, no equivalence classes.
-The property suite asserts that ``FlowNetwork._maxmin_rates`` (which
-dispatches between a per-flow solve, a flow-class solve, and the
-compiled kernel) matches it at ``fairness_slack=0`` on randomized flow
-sets — parametrized over both solvers and both kernels, plus a
-``sharded`` layout in which the component solver meets several
-resource-disjoint copies of the flow set arriving together next to an
-already-solved copy, so it takes its batched multi-component solve —
-and that the standard max-min invariants hold: capacity conservation,
-per-flow caps respected, and work conservation (every flow is limited by its cap or
-by a saturated resource).
+The property suite asserts that ``FlowNetwork._maxmin_rates`` (the
+compiled kernel, or the numpy flow-class solve when it is not loaded)
+matches it at ``fairness_slack=0`` on randomized flow sets —
+parametrized over the compiled kernel and the numpy solve, and over the
+component solver and its whole-network oracle (the oracles injected
+from ``tests/oracles/``), plus a ``sharded`` layout in which the
+component solver meets several resource-disjoint copies of the flow set
+arriving together next to an already-solved copy, so it takes its
+batched multi-component solve — and that the standard max-min
+invariants hold: capacity conservation, per-flow caps respected, and
+work conservation (every flow is limited by its cap or by a saturated
+resource).
 """
 
 import math
@@ -20,8 +22,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.des import FlowNetwork, Simulator
 from repro.des.kernels import kernel_status
+from tests.oracles import assert_engine_ran, engine
 
 #: Mirrors the freeze-batch epsilon in ``FlowNetwork._maxmin_rates``.
 _BATCH = 1.0 + 1e-12
@@ -71,12 +73,12 @@ def reference_maxmin(flows, capacities):
 def solver_rates(flows, capacities, solver="component", kernel="python"):
     """Feed the same flow set through FlowNetwork and read back the
     rates it assigns after the first recompute."""
-    sim = Simulator()
-    net = FlowNetwork(sim, solver=solver, kernel=kernel)
+    sim, net = engine(kernel, solver=solver)
     links = [net.add_capacity(f"r{i}", c) for i, c in enumerate(capacities)]
     for resources, cap in flows:
         net.transfer([links[r] for r in resources], 1e9, rate_cap=cap)
     sim.run(until=0.0)
+    assert_engine_ran(sim, net, kernel, "calendar", solver)
     idx = np.flatnonzero(net._active)
     return [float(r) for r in net._rate[idx]]
 
@@ -89,8 +91,7 @@ def sharded_rates(flows, capacities, kernel="python", copies=3):
     so the recompute sees several dirty components beside a clean one
     and solves them in one batched kernel call (or fast-grants them).
     """
-    sim = Simulator()
-    net = FlowNetwork(sim, solver="component", kernel=kernel)
+    sim, net = engine(kernel)
     nres = len(capacities)
     links = [net.add_capacity(f"r{i}", capacities[i % nres])
              for i in range(copies * nres)]
@@ -106,6 +107,7 @@ def sharded_rates(flows, capacities, kernel="python", copies=3):
     for copy in range(1, copies):
         sim.schedule_callback(1.0, lambda copy=copy: launch(copy))
     sim.run(until=1.0)
+    assert_engine_ran(sim, net, kernel, "calendar", "component")
     return [[float(net._rate[f.index]) for f in copy_flows]
             for copy_flows in handles]
 
@@ -114,8 +116,8 @@ def random_flow_set(rng, allow_duplicates):
     """A randomized (flows, capacities) instance.
 
     With ``allow_duplicates`` the set contains groups of identical
-    (resources, cap) flows, exercising the flow-class solve; without,
-    every cap is distinct, exercising the per-flow solve.
+    (resources, cap) flows, which collapse into multi-flow classes;
+    without, every class is a singleton.
     """
     nres = int(rng.integers(2, 8))
     capacities = [float(c) for c in rng.uniform(10.0, 1000.0, size=nres)]

@@ -4,28 +4,30 @@ The tentpole property: at ``fairness_slack=0`` exact max-min fairness
 decomposes over connected components of the resource-contention graph,
 so the ``component`` solver (solve only the dirty components) must be
 *bit-identical* — completion times, bytes moved, rate trajectories — to
-the ``global`` oracle (re-solve everything on every change). The storm
-tests here throw randomized multi-component workloads with arrivals,
-rate caps, cancellations, capacity changes and component-bridging flows
-at both solvers and diff the full observable outcome.
+the ``global`` oracle (``GlobalFlowNetwork`` from ``tests/oracles/``,
+which re-solves everything on every change). The storm tests here throw
+randomized multi-component workloads with arrivals, rate caps,
+cancellations, capacity changes and component-bridging flows at both
+solvers and diff the full observable outcome.
 
 Also covered: the union-find component registry (merge on arrival, lazy
 split on rebuild), the per-component completion targets feeding the
-tick, solver selection (constructor argument only; the environment
-selects nothing) and mode validation, batched same-tick component
-solves, the solver statistics surfaced through the tracer and
-``tracereport``, and serial-vs-parallel sweep determinism under the
-component solver.
+tick, the absence of any solver selection (no constructor argument, no
+environment variable), batched same-tick component solves, the solver
+statistics surfaced through the tracer and ``tracereport``, and
+serial-vs-parallel sweep determinism under the component solver.
 """
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from repro.des import FlowNetwork, Simulator
-from repro.des.bandwidth import SOLVER_COMPONENT, SOLVER_GLOBAL
-from repro.errors import SimulationError
+from repro.des.bandwidth import SOLVER_COMPONENT
+from tests.oracles import (SOLVER_GLOBAL, GlobalFlowNetwork,
+                           assert_engine_ran, engine)
 
 
 # ---------------------------------------------------------------------- #
@@ -41,8 +43,7 @@ def _run_storm(solver, seed, nodes=12, writers=4, fairness_slack=0.0,
     cross-node flows that temporarily bridge two components.
     """
     rng = np.random.default_rng(seed)
-    sim = Simulator()
-    net = FlowNetwork(sim, solver=solver, fairness_slack=fairness_slack,
+    sim, net = engine(solver=solver, fairness_slack=fairness_slack,
                       completion_slack=completion_slack)
     nics = [net.add_capacity(f"nic{i}", 1e9) for i in range(nodes)]
     tgts = [net.add_capacity(f"ost{i}", 4e8 * (1 + 1e-3 * i))
@@ -99,6 +100,7 @@ def _run_storm(solver, seed, nodes=12, writers=4, fairness_slack=0.0,
     sim.schedule_callback(float(rng.uniform(0.08, 0.2)), cancel_one)
 
     sim.run()
+    assert_engine_ran(sim, net, None, "calendar", solver)
     return {
         "completions": completions,
         "bytes_moved": net.total_bytes_moved,
@@ -139,6 +141,12 @@ def test_component_solver_actually_partitions():
     assert comp["stats"]["full_solves"] < comp["stats"]["component_solves"]
     assert glob["stats"]["component_solves"] == 0
     assert comp["stats"]["flows_solved"] < glob["stats"]["flows_solved"] / 2
+    # ... and the oracle side is vacuous if the whole-network override
+    # never ran: every one of its solves is a full one (or a grant).
+    assert comp["stats"]["solver"] == SOLVER_COMPONENT
+    assert glob["stats"]["solver"] == SOLVER_GLOBAL
+    assert glob["stats"]["batched_solves"] == 0
+    assert glob["stats"]["full_solves"] > comp["stats"]["full_solves"]
 
 
 def test_storm_positive_fairness_slack_stays_sane():
@@ -156,7 +164,7 @@ def test_storm_positive_fairness_slack_stays_sane():
 # ---------------------------------------------------------------------- #
 def test_components_merge_on_bridging_flow():
     sim = Simulator()
-    net = FlowNetwork(sim, solver=SOLVER_COMPONENT)
+    net = FlowNetwork(sim)
     a = net.add_capacity("a", 1e9)
     b = net.add_capacity("b", 1e9)
     net.transfer([a], 1e6)
@@ -172,7 +180,7 @@ def test_components_merge_on_bridging_flow():
 
 def test_components_split_after_rebuild():
     sim = Simulator()
-    net = FlowNetwork(sim, solver=SOLVER_COMPONENT)
+    net = FlowNetwork(sim)
     a = net.add_capacity("a", 1e9)
     b = net.add_capacity("b", 1e9)
     net.transfer([a], 1e9, label="left")
@@ -193,7 +201,7 @@ def test_components_split_after_rebuild():
 
 def test_rebuild_triggers_after_many_departures():
     sim = Simulator()
-    net = FlowNetwork(sim, solver=SOLVER_COMPONENT)
+    net = FlowNetwork(sim)
     caps = [net.add_capacity(f"c{i}", 1e9) for i in range(4)]
     # Far more multi-resource departures than the rebuild threshold.
     for k in range(200):
@@ -207,7 +215,7 @@ def test_capless_flows_never_contend():
     """Flows with no resources live in the reserved cap-only component,
     are granted their rate cap, and are never re-solved."""
     sim = Simulator()
-    net = FlowNetwork(sim, solver=SOLVER_COMPONENT)
+    net = FlowNetwork(sim)
     link = net.add_capacity("link", 1e9)
     free = net.transfer([], 1e6, rate_cap=2e6, label="capless")
     shared = net.transfer([link], 1e6, label="shared")
@@ -220,7 +228,7 @@ def test_capless_flows_never_contend():
 
 def test_component_targets_merge_to_tick_target():
     sim = Simulator()
-    net = FlowNetwork(sim, solver=SOLVER_COMPONENT)
+    net = FlowNetwork(sim)
     links = [net.add_capacity(f"l{i}", 1e9) for i in range(5)]
     for i, link in enumerate(links):
         net.transfer([link], 1e6 * (i + 1))
@@ -231,17 +239,22 @@ def test_component_targets_merge_to_tick_target():
 
 
 # ---------------------------------------------------------------------- #
-# solver selection: the component solver always runs; ``global`` is a
-# constructor-only oracle, and no environment variable selects either
+# no solver selection: the component solver always runs; ``global`` is
+# an oracle subclass in tests/oracles/, and neither a constructor
+# argument nor an environment variable selects anything
 # ---------------------------------------------------------------------- #
 _REMOVED_ENGINE_ENV = ("REPRO_SOLVER", "REPRO_KERNEL", "REPRO_SCHEDULER")
 
 
 def test_solver_argument_beats_environment(monkeypatch):
+    """There is no solver argument left to beat the (deleted)
+    environment variable."""
     monkeypatch.setenv("REPRO_SOLVER", "global")
-    net = FlowNetwork(Simulator(), solver="component")
-    assert net.solver == SOLVER_COMPONENT
-    assert FlowNetwork(Simulator(), solver="global").solver == SOLVER_GLOBAL
+    assert FlowNetwork(Simulator()).solver == SOLVER_COMPONENT
+    for value in ("component", "global"):
+        with pytest.raises(TypeError):
+            FlowNetwork(Simulator(), solver=value)
+    assert GlobalFlowNetwork(Simulator()).solver == SOLVER_GLOBAL
 
 
 def test_solver_from_environment(monkeypatch):
@@ -254,28 +267,27 @@ def test_solver_from_environment(monkeypatch):
 
 
 def test_invalid_solver_rejected(monkeypatch):
-    with pytest.raises(SimulationError):
+    with pytest.raises(TypeError):
         FlowNetwork(Simulator(), solver="quantum")
     monkeypatch.setenv("REPRO_SOLVER", "fast")
     assert FlowNetwork(Simulator()).solver == SOLVER_COMPONENT
 
 
 def test_network_validates_every_mode_listing_options(monkeypatch):
-    """Construction must fail loudly on any bad mode argument, naming
-    the valid options — for the solver, the kernel and the scheduler
-    alike — while the deleted environment variables are ignored."""
-    with pytest.raises(SimulationError) as err:
+    """No mode argument is left to validate: ``FlowNetwork`` takes only
+    the simulator and its two slacks and ``Simulator`` takes nothing,
+    so any mode argument is a ``TypeError`` — for the solver, the
+    kernel and the scheduler alike — and the deleted environment
+    variables are ignored."""
+    assert list(inspect.signature(FlowNetwork).parameters) == [
+        "sim", "completion_slack", "fairness_slack"]
+    assert not inspect.signature(Simulator).parameters
+    with pytest.raises(TypeError):
         FlowNetwork(Simulator(), solver="quantum")
-    for option in ("component", "global"):
-        assert option in str(err.value)
-    with pytest.raises(SimulationError) as err:
+    with pytest.raises(TypeError):
         FlowNetwork(Simulator(), kernel="gpu")
-    for option in ("compiled", "python"):
-        assert option in str(err.value)
-    with pytest.raises(SimulationError) as err:
+    with pytest.raises(TypeError):
         Simulator(scheduler="wheel")
-    for option in ("calendar", "heap"):
-        assert option in str(err.value)
     for key, value in zip(_REMOVED_ENGINE_ENV, ("fast", "rust", "ladder")):
         monkeypatch.setenv(key, value)
     assert FlowNetwork(Simulator()).solver == SOLVER_COMPONENT
@@ -283,12 +295,10 @@ def test_network_validates_every_mode_listing_options(monkeypatch):
 
 
 def test_removed_solver_value_rejected():
-    """A deleted solver value is rejected by the constructor, naming the
-    valid options."""
-    with pytest.raises(SimulationError) as err:
+    """A deleted solver value cannot be passed: there is no solver
+    argument."""
+    with pytest.raises(TypeError):
         FlowNetwork(Simulator(), solver="sharded")
-    for option in ("component", "global"):
-        assert repr(option) in str(err.value)
 
 
 def test_machine_solver_passthrough():
@@ -379,7 +389,7 @@ def test_solver_trace_events_and_table():
     sim = Simulator()
     tracer = Tracer(clock=lambda: sim.now, clock_name="sim")
     sim.tracer = tracer
-    net = FlowNetwork(sim, solver=SOLVER_COMPONENT)
+    net = FlowNetwork(sim)
     link_a = net.add_capacity("a", 1e9)
     link_b = net.add_capacity("b", 1e9)
     net.transfer([link_a], 1e6)
@@ -435,8 +445,7 @@ def test_render_summary_without_solver_events():
 # batched same-tick component solves
 # ---------------------------------------------------------------------- #
 def _disjoint_batch_run(solver):
-    sim = Simulator()
-    net = FlowNetwork(sim, solver=solver)
+    sim, net = engine(solver=solver)
     links = [net.add_capacity(f"l{i}", 1e8 * (i + 1)) for i in range(6)]
     for i, link in enumerate(links):
         for w in range(3):
@@ -450,6 +459,7 @@ def _disjoint_batch_run(solver):
             net.transfer([links[i]], 3e6, label=f"late{i}")
     sim.schedule_callback(0.01, late_arrivals)
     sim.run()
+    assert_engine_ran(sim, net, None, "calendar", solver)
     return net, sim.now
 
 
@@ -469,7 +479,7 @@ def test_batched_solves_counted_in_stats_and_trace():
     sim = Simulator()
     tracer = Tracer(clock=lambda: sim.now, clock_name="sim")
     sim.tracer = tracer
-    net = FlowNetwork(sim, solver=SOLVER_COMPONENT)
+    net = FlowNetwork(sim)
     links = [net.add_capacity(f"l{i}", 1e9) for i in range(4)]
     for link in links:
         net.transfer([link], 1e6, rate_cap=5e5)
